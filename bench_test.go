@@ -269,6 +269,29 @@ func BenchmarkScenario7(b *testing.B) {
 	}
 }
 
+// BenchmarkScenario8 measures the connection plane at cherinet's
+// default Scenario 8 cell: the idle population held across a churn
+// storm at the top of the default rate ladder, Baseline layout, on the
+// default shard count. flows/vs is completed short flows per virtual
+// second (it should match the offered rate), and connect-p99-µs the
+// churn flows' connect tail.
+func BenchmarkScenario8(b *testing.B) {
+	o := core.DefaultRunOptions()
+	cfg := core.Scenario8Config{
+		Shards: o.Shards, Conns: o.Conns, Rate: o.ConnRate, DurationNS: o.S8DurationNS,
+	}
+	var last core.Scenario8Result
+	for i := 0; i < b.N; i++ {
+		r, err := core.RunScenario8(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = r
+	}
+	b.ReportMetric(last.AcceptsPerSec(), "flows/vs")
+	b.ReportMetric(float64(last.ConnectP99NS)/1e3, "connect-p99-µs")
+}
+
 // BenchmarkScenario9 measures the request/response plane at the
 // moderate-load point: open-loop HTTP keep-alive and DNS-shaped UDP
 // traffic over two shards, reporting the merged per-request tail. The

@@ -26,9 +26,10 @@ type API interface {
 }
 
 const (
-	// evBuf is sized past any reachable ready-set so EpollWait never
-	// truncates: a truncated wait returns a map-ordered (random) subset
-	// and the run stops being deterministic.
+	// evBuf is sized past any reachable ready-set so one step handles
+	// every ready descriptor. EpollWait would report a deterministic
+	// lowest-fd subset if it truncated, but a smaller buffer would split
+	// the ready set across steps and change the simulated batching.
 	evBuf = 4096
 	// maxOutstanding bounds an open-loop client's in-flight requests.
 	// Past it, pace slots are counted as deferred instead of issued, so

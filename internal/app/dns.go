@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
@@ -156,7 +155,6 @@ func (s *DNSServer) Step(api API, now int64) {
 		s.fail(errno)
 		return
 	}
-	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range s.evs[:n] {
 		if ev.FD != s.fd || ev.Events&fstack.EPOLLIN == 0 {
 			continue

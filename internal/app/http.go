@@ -154,8 +154,6 @@ func (s *HTTPServer) Step(api API, now int64) {
 		s.fail(errno)
 		return
 	}
-	// EpollWait ranges a map: sort so equal runs process equal orders.
-	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range s.evs[:n] {
 		if ev.FD == s.lfd {
 			s.acceptAll(api)
@@ -651,7 +649,6 @@ func (c *HTTPClient) drain(api API, now int64) bool {
 		c.fail(errno)
 		return false
 	}
-	slices.SortFunc(c.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range c.evs[:n] {
 		i, ok := c.byFD[ev.FD]
 		if !ok {

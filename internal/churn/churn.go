@@ -19,7 +19,6 @@ package churn
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
@@ -51,9 +50,10 @@ const (
 	maxInflight = 256
 	// payloadBytes is one short flow's request size.
 	payloadBytes = 64
-	// evBuf is sized past any reachable ready-set so EpollWait never
-	// truncates: a truncated wait returns a map-ordered (random) subset
-	// and the run stops being deterministic.
+	// evBuf is sized past any reachable ready-set so one step handles
+	// every ready descriptor. EpollWait would report a deterministic
+	// lowest-fd subset if it truncated, but a smaller buffer would split
+	// the ready set across steps and change the simulated batching.
 	evBuf = 4096
 )
 
@@ -162,8 +162,6 @@ func (s *Server) Step(api API, now int64) {
 		s.fail(errno)
 		return
 	}
-	// EpollWait ranges a map: sort so equal runs process equal orders.
-	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range s.evs[:n] {
 		switch {
 		case s.preload[ev.FD]:
@@ -426,7 +424,6 @@ func (c *Client) drain(api API, now int64) bool {
 		c.fail(errno)
 		return false
 	}
-	slices.SortFunc(c.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range c.evs[:n] {
 		fl, ok := c.inflight[ev.FD]
 		if !ok {

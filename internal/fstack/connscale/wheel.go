@@ -48,8 +48,14 @@ type item[T any] struct {
 // Wheel is a hierarchical timing wheel over an int64 nanosecond clock.
 // Insert and Remove are O(1); Advance is bounded by the slots crossed
 // (at most 256 per level) plus the entries actually due; NextDeadline
-// is O(1) while the cached minimum holds and recomputes in at most
-// numLevels*numSlots slot probes when it does not. Firing is exact:
+// is O(1) while the cached minimum holds. A recompute costs at most
+// numLevels*numSlots slot probes (normally a few per level, see
+// recomputeMin) plus one list walk per probed slot that is dirty:
+// every slot caches its own minimum, and only removing an entry at or
+// below it forces the walk (Varghese & Lauck's per-bucket
+// bookkeeping). A level-1 slot holding hundreds of TIME_WAIT entries
+// is therefore walked once per removal of its minimum, not once per
+// recompute. Firing is exact:
 // entries carry their precise deadline, and Advance only fires those
 // with deadline <= now — the tick merely buckets them.
 //
@@ -62,6 +68,12 @@ type Wheel[T any] struct {
 	slots [numLevels * numSlots]Handle
 	items []item[T]
 	free  Handle
+
+	// slotMin is each non-empty slot's exact earliest deadline unless
+	// slotDirty is set: push keeps it current, and unlinking an entry at
+	// (or below) it marks the slot for a lazy walk in recomputeMin.
+	slotMin   [numLevels * numSlots]int64
+	slotDirty [numLevels * numSlots]bool
 
 	size      int
 	levelSize [numLevels]int
@@ -254,11 +266,15 @@ func (w *Wheel[T]) cascade(level, slot int, now int64, fire func(T)) {
 	}
 }
 
-// recomputeMin rebuilds the cached minimum. Within one level, slots
-// scanned outward from the cursor hold strictly increasing ticks, so
-// the first non-empty slot contains that level's minimum; levels
-// overlap in time near their boundaries, so the global minimum is the
-// min across the per-level minima.
+// recomputeMin rebuilds the cached minimum. Every entry of a slot lies
+// at or after the slot's start instant: a normally placed entry within
+// the slot's span, one parked in the top level's last slot (see place)
+// beyond it. So scanning each level outward from its cursor can stop
+// at the first slot that starts at or after the best minimum so far;
+// on the lower levels that is the slot right after the first
+// non-empty one. Parked entries are why the top level may need more:
+// a slot that was the parking slot under an earlier cursor can hold
+// deadlines later than those of slots after it.
 func (w *Wheel[T]) recomputeMin() {
 	m := int64(math.MaxInt64)
 	for k := 0; k < numLevels; k++ {
@@ -268,21 +284,33 @@ func (w *Wheel[T]) recomputeMin() {
 		shift := uint(slotBits * k)
 		cursor := w.curTick >> shift
 		for i := int64(0); i < numSlots; i++ {
+			if w.start+((cursor+i)<<shift<<w.shift) >= m {
+				break
+			}
 			idx := k*numSlots + int((cursor+i)&slotMask)
-			h := w.slots[idx]
-			if h == None {
-				continue
+			if w.slots[idx] != None {
+				m = min(m, w.slotMinOf(idx))
 			}
-			for ; h != None; h = w.items[h].next {
-				if d := w.items[h].deadline; d < m {
-					m = d
-				}
-			}
-			break
 		}
 	}
 	w.minCache = m
 	w.minValid = true
+}
+
+// slotMinOf returns a non-empty slot's earliest deadline, walking its
+// list only when an unlink has invalidated the cached value.
+func (w *Wheel[T]) slotMinOf(idx int) int64 {
+	if w.slotDirty[idx] {
+		m := int64(math.MaxInt64)
+		for h := w.slots[idx]; h != None; h = w.items[h].next {
+			if d := w.items[h].deadline; d < m {
+				m = d
+			}
+		}
+		w.slotMin[idx] = m
+		w.slotDirty[idx] = false
+	}
+	return w.slotMin[idx]
 }
 
 // dropMin invalidates the cached minimum when an entry at (or below)
@@ -318,21 +346,32 @@ func (w *Wheel[T]) freeItem(h Handle) {
 	w.free = h
 }
 
-// push links an item at the head of a slot list.
+// push links an item at the head of a slot list, lowering the slot's
+// cached minimum (an empty slot takes the item's deadline outright).
 func (w *Wheel[T]) push(idx int, h Handle) {
 	it := &w.items[h]
 	it.prev = None
 	it.next = w.slots[idx]
 	if it.next != None {
 		w.items[it.next].prev = h
+		if it.deadline < w.slotMin[idx] {
+			w.slotMin[idx] = it.deadline
+		}
+	} else {
+		w.slotMin[idx] = it.deadline
+		w.slotDirty[idx] = false
 	}
 	w.slots[idx] = h
 	it.slot = int32(idx)
 }
 
-// unlink detaches an item from its slot list.
+// unlink detaches an item from its slot list, marking the slot dirty
+// when the item may have been its minimum.
 func (w *Wheel[T]) unlink(h Handle) {
 	it := &w.items[h]
+	if it.deadline <= w.slotMin[it.slot] {
+		w.slotDirty[it.slot] = true
+	}
 	if it.prev != None {
 		w.items[it.prev].next = it.next
 	} else {

@@ -89,67 +89,114 @@ func TestWheelFarDeadlineClamp(t *testing.T) {
 	}
 }
 
-// TestWheelRandomized cross-checks the wheel against a sorted list
-// model under random insert/remove/advance traffic.
+// TestWheelRandomized cross-checks the wheel against a brute-force
+// model under random insert/remove/advance traffic, comparing Len and
+// NextDeadline with the model after every operation. The shapes stress
+// the cached minima: mixed scales across all levels; hundreds of
+// deadlines clustered in one level-1 slot (the TIME_WAIT shape); and
+// deadlines past the top level's span, parked in its last slot and
+// cascaded down as long leaps move the cursor. Half the removals take
+// a slot's minimum entry, the case that forces a slot walk.
 func TestWheelRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	shapes := []struct {
+		name   string
+		offset func(*rand.Rand) int64 // insert offset from now
+		leap   int64                  // advance step bound
+	}{
+		{"mixed", func(rng *rand.Rand) int64 {
+			switch rng.Intn(3) {
+			case 0:
+				return rng.Int63n(1 << 20) // within level 0
+			case 1:
+				return rng.Int63n(1 << 28) // level 1 territory
+			default:
+				return rng.Int63n(1 << 34) // level 2 territory
+			}
+		}, 1 << 24},
+		{"level1-cluster", func(rng *rand.Rand) int64 {
+			return 1<<24 + rng.Int63n(1<<24) // one or two 16.8 ms slots
+		}, 1 << 16},
+		{"top-parked", func(rng *rand.Rand) int64 {
+			return rng.Int63n(1 << 42) // up to 4x past the top level's span
+		}, 1 << 36},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			checkWheelAgainstModel(t, rand.New(rand.NewSource(7)), sh.offset, sh.leap)
+		})
+	}
+}
+
+func checkWheelAgainstModel(t *testing.T, rng *rand.Rand, offset func(*rand.Rand) int64, leap int64) {
 	w := New[int](0, DefaultTickShift)
 	type ref struct {
+		id       int
 		deadline int64
 		h        Handle
 	}
-	live := map[int]ref{}
-	now, nextID := int64(0), 0
+	var live []ref
+	// minIn is the index of the earliest live entry whose deadline
+	// satisfies in, or -1.
+	minIn := func(in func(int64) bool) int {
+		best := -1
+		for i, rf := range live {
+			if in(rf.deadline) && (best < 0 || rf.deadline < live[best].deadline) {
+				best = i
+			}
+		}
+		return best
+	}
+	now, nextID, peak := int64(0), 0, 0
 	for step := 0; step < 20000; step++ {
 		switch r := rng.Intn(10); {
-		case r < 5: // insert at a mixed-scale future offset
-			var off int64
-			switch rng.Intn(3) {
-			case 0:
-				off = rng.Int63n(1 << 20) // within level 0
-			case 1:
-				off = rng.Int63n(1 << 28) // level 1 territory
-			default:
-				off = rng.Int63n(1 << 34) // level 2 territory
-			}
-			d := now + off
-			live[nextID] = ref{deadline: d, h: w.Insert(d, nextID)}
+		case r < 5:
+			d := now + offset(rng)
+			live = append(live, ref{id: nextID, deadline: d, h: w.Insert(d, nextID)})
 			nextID++
-		case r < 6: // remove a random live entry
-			for id, rf := range live {
-				w.Remove(rf.h)
-				delete(live, id)
+		case r < 6:
+			if len(live) == 0 {
 				break
 			}
-		default: // advance by a random leap
-			now += rng.Int63n(1 << 24)
+			i := rng.Intn(len(live))
+			if rng.Intn(2) == 0 {
+				// The earliest entry of i's level-1-slot-wide window.
+				win := live[i].deadline >> (DefaultTickShift + slotBits)
+				i = minIn(func(d int64) bool { return d>>(DefaultTickShift+slotBits) == win })
+			}
+			w.Remove(live[i].h)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default:
+			now += rng.Int63n(leap)
 			fired := map[int]bool{}
 			w.Advance(now, func(id int) { fired[id] = true })
-			for id, rf := range live {
-				if rf.deadline <= now && !fired[id] {
-					t.Fatalf("step %d: entry %d (deadline %d) not fired at %d", step, id, rf.deadline, now)
+			kept := live[:0]
+			for _, rf := range live {
+				if rf.deadline <= now && !fired[rf.id] {
+					t.Fatalf("step %d: entry %d (deadline %d) not fired at %d", step, rf.id, rf.deadline, now)
 				}
-				if rf.deadline > now && fired[id] {
-					t.Fatalf("step %d: entry %d (deadline %d) fired early at %d", step, id, rf.deadline, now)
+				if rf.deadline > now && fired[rf.id] {
+					t.Fatalf("step %d: entry %d (deadline %d) fired early at %d", step, rf.id, rf.deadline, now)
 				}
-				if fired[id] {
-					delete(live, id)
+				if !fired[rf.id] {
+					kept = append(kept, rf)
 				}
 			}
+			live = kept
 		}
 		if w.Len() != len(live) {
 			t.Fatalf("step %d: Len %d != model %d", step, w.Len(), len(live))
 		}
 		wantMin := int64(math.MaxInt64)
-		for _, rf := range live {
-			if rf.deadline < wantMin {
-				wantMin = rf.deadline
-			}
+		if i := minIn(func(int64) bool { return true }); i >= 0 {
+			wantMin = live[i].deadline
 		}
 		if got := w.NextDeadline(); got != wantMin {
 			t.Fatalf("step %d: NextDeadline %d != model %d", step, got, wantMin)
 		}
+		peak = max(peak, len(live))
 	}
+	t.Logf("peak live entries %d", peak)
 }
 
 // TestWheelSteadyStateNoGrowth pins the zero-alloc property the conn

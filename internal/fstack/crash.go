@@ -72,7 +72,8 @@ func (s *Stack) Crash() {
 	// Epoll: registrations are fully dropped — a restarted application
 	// re-registers from scratch. The instances (and their fds) remain.
 	for _, ep := range s.epolls {
-		clear(ep.interest)
+		clear(ep.items)
+		ep.items = ep.items[:0]
 	}
 
 	// Half-open connections die silently; freeing every entry empties

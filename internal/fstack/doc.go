@@ -13,7 +13,10 @@
 //     Accept, Connect, Read, Write, Close) plus an epoll-style event
 //     API. All calls are non-blocking; readiness is reported through
 //     epoll, which is how the paper's iperf3 port works after its
-//     select->epoll conversion (§III-B).
+//     select->epoll conversion (§III-B). EpollWait reports ready fds in
+//     ascending order, and a wait with a short buffer reports the
+//     lowest ones, so results are deterministic without caller-side
+//     sorting; ShardedAPI keeps the same contract over logical fds.
 //
 //   - API calls and the main loop are serialized by one stack mutex.
 //     In Baseline and Scenario 1 the application runs inside the loop

@@ -1,6 +1,11 @@
 package fstack
 
-import "repro/internal/hostos"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/hostos"
+)
 
 // Epoll event bits (Linux values; musl callers expect them).
 const (
@@ -27,8 +32,38 @@ type Event struct {
 // sockets. The paper's iperf3 port replaced select with this mechanism
 // (§III-B); in a poll-mode stack Wait never blocks — the main loop is
 // the thing that makes progress.
+//
+// Registrations are kept sorted by fd, as Linux eventpoll keeps its
+// interest tree ordered: a wait reports ready fds in ascending order and
+// a truncated wait keeps the lowest, so results are deterministic by
+// construction. Descriptor numbers only grow, so registering a new fd
+// is an append.
 type epollInstance struct {
-	interest map[int]uint32
+	items []epollItem
+}
+
+// epollItem is one registration. The socket is stored so a wait need
+// not look the fd up; closeLocked and Crash drop the registration
+// before the socket can be recycled.
+type epollItem struct {
+	fd     int
+	events uint32
+	sk     *socket
+}
+
+// find binary-searches the registrations for fd, returning its index
+// or the index it would be inserted at.
+func (ep *epollInstance) find(fd int) (int, bool) {
+	return slices.BinarySearchFunc(ep.items, fd, func(it epollItem, fd int) int {
+		return cmp.Compare(it.fd, fd)
+	})
+}
+
+// remove drops fd's registration, if any.
+func (ep *epollInstance) remove(fd int) {
+	if i, ok := ep.find(fd); ok {
+		ep.items = slices.Delete(ep.items, i, i+1)
+	}
 }
 
 // EpollCreate makes an epoll descriptor.
@@ -41,7 +76,7 @@ func (s *Stack) EpollCreate() int {
 func (s *Stack) epollCreateLocked() int {
 	fd := s.nextFD
 	s.nextFD++
-	s.epolls[fd] = &epollInstance{interest: make(map[int]uint32)}
+	s.epolls[fd] = &epollInstance{}
 	return fd
 }
 
@@ -57,29 +92,34 @@ func (s *Stack) epollCtlLocked(epfd, op, fd int, events uint32) hostos.Errno {
 	if !ok {
 		return hostos.EBADF
 	}
-	if _, ok := s.socks[fd]; !ok {
+	sk, ok := s.socks[fd]
+	if !ok {
 		return hostos.EBADF
 	}
 	switch op {
 	case EpollCtlAdd:
-		if _, dup := ep.interest[fd]; dup {
+		i, dup := ep.find(fd)
+		if dup {
 			return hostos.EINVAL
 		}
-		ep.interest[fd] = events
+		ep.items = slices.Insert(ep.items, i, epollItem{fd: fd, events: events, sk: sk})
 	case EpollCtlMod:
-		if _, ok := ep.interest[fd]; !ok {
+		i, ok := ep.find(fd)
+		if !ok {
 			return hostos.ENOENT
 		}
-		ep.interest[fd] = events
+		ep.items[i].events = events
 	case EpollCtlDel:
-		delete(ep.interest, fd)
+		ep.remove(fd)
 	default:
 		return hostos.EINVAL
 	}
 	return hostos.OK
 }
 
-// EpollWait collects ready events (non-blocking).
+// EpollWait collects ready events (non-blocking) in ascending fd
+// order; when evs is shorter than the ready set, the lowest ready fds
+// are the ones reported.
 func (s *Stack) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,13 +132,13 @@ func (s *Stack) epollWaitLocked(epfd int, evs []Event) (int, hostos.Errno) {
 		return -1, hostos.EBADF
 	}
 	n := 0
-	for fd, want := range ep.interest {
+	for i := range ep.items {
 		if n >= len(evs) {
 			break
 		}
-		got := s.readiness(fd) & (want | EPOLLERR | EPOLLHUP)
-		if got != 0 {
-			evs[n] = Event{FD: fd, Events: got}
+		it := &ep.items[i]
+		if got := readiness(it.sk) & (it.events | EPOLLERR | EPOLLHUP); got != 0 {
+			evs[n] = Event{FD: it.fd, Events: got}
 			n++
 		}
 	}
@@ -106,11 +146,7 @@ func (s *Stack) epollWaitLocked(epfd int, evs []Event) (int, hostos.Errno) {
 }
 
 // readiness computes the level-triggered event set of a socket.
-func (s *Stack) readiness(fd int) uint32 {
-	sk, ok := s.socks[fd]
-	if !ok {
-		return EPOLLERR
-	}
+func readiness(sk *socket) uint32 {
 	var r uint32
 	switch {
 	case sk.lst != nil:

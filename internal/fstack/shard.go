@@ -1,7 +1,9 @@
 package fstack
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/dpdk"
 	"repro/internal/hostos"
@@ -329,7 +331,7 @@ type ShardedAPI struct {
 	rev    []map[int]int // per shard: shard fd -> logical fd
 	eph    uint16
 	rr     int     // round-robin shard target for outbound connections
-	tmp    []Event // EpollWait per-shard scratch, sized to the caller's buffer
+	tmp    []Event // EpollWait scratch: one caller-sized run per shard
 }
 
 // API returns a sharded application view. Like a single Stack's
@@ -651,37 +653,41 @@ func (a *ShardedAPI) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
 }
 
 // EpollWait collects ready events across every shard, translated back
-// to logical descriptors.
+// to logical descriptors and merged into ascending logical-fd order.
+// A shard hands out its fds in the same calls, and so in the same order,
+// as the logical ones (Socket, Accept, EpollCreate), so each shard's
+// lowest ready fds are its lowest ready logical fds: a truncated wait
+// keeps the lowest logical fds overall, as a single Stack's does.
 func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 	ep, ok := a.fds[epfd]
 	if !ok || ep.kind != sfEpoll {
 		return -1, hostos.EBADF
 	}
-	// The scratch buffer matches the caller's: a smaller one would
-	// truncate a shard's ready set to a map-ordered (random) subset and
-	// make busy runs nondeterministic.
-	if len(a.tmp) < len(evs) {
-		a.tmp = make([]Event, len(evs))
+	// Every shard may fill the caller's whole buffer, and the merge needs
+	// all of them to pick the lowest len(evs) logical fds.
+	if want := len(a.ss.shards) * len(evs); len(a.tmp) < want {
+		a.tmp = make([]Event, want)
 	}
-	n := 0
+	m := 0
 	for i, s := range a.ss.shards {
-		if n >= len(evs) {
-			break
-		}
-		k, errno := s.EpollWait(ep.sub[i], a.tmp[:len(evs)])
+		base := m
+		k, errno := s.EpollWait(ep.sub[i], a.tmp[base:base+len(evs)])
 		if errno != hostos.OK {
 			return -1, errno
 		}
-		for j := 0; j < k && n < len(evs); j++ {
+		for j := base; j < base+k; j++ {
 			lfd, ok := a.rev[i][a.tmp[j].FD]
 			if !ok {
 				continue // descriptor raced with Close
 			}
-			evs[n] = Event{FD: lfd, Events: a.tmp[j].Events}
-			n++
+			a.tmp[m] = Event{FD: lfd, Events: a.tmp[j].Events}
+			m++
 		}
 	}
-	return n, hostos.OK
+	// Stable, so a cloned descriptor ready on several shards is reported
+	// once per shard in shard order.
+	slices.SortStableFunc(a.tmp[:m], func(x, y Event) int { return cmp.Compare(x.FD, y.FD) })
+	return copy(evs, a.tmp[:m]), hostos.OK
 }
 
 // ShardOf reports which shard a pinned descriptor lives on (-1 for

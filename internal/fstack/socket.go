@@ -504,7 +504,7 @@ func (s *Stack) closeLocked(fd int) hostos.Errno {
 	}
 	delete(s.socks, fd)
 	for _, ep := range s.epolls {
-		delete(ep.interest, fd)
+		ep.remove(fd)
 	}
 	switch {
 	case sk.lst != nil:

@@ -1,6 +1,7 @@
 package fstack
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hostos"
@@ -252,5 +253,62 @@ func TestEpollReadinessAfterClose(t *testing.T) {
 	}
 	if errno := e.stkB.EpollCtl(ep, EpollCtlMod, afd, EPOLLIN); errno != hostos.EBADF {
 		t.Fatalf("re-arming a closed fd: %v, want EBADF", errno)
+	}
+}
+
+// TestEpollCloseAndCrashDropRegistrations: Close removes a descriptor
+// from every epoll instance without disturbing its neighbours' order,
+// the recycled socket struct behind a new fd is not reported through
+// the dead registration, and Crash empties every instance.
+func TestEpollCloseAndCrashDropRegistrations(t *testing.T) {
+	e := newEnv(t, false)
+	var fds []int
+	for i := 0; i < 5; i++ {
+		fd, _ := e.stkB.Socket(SockDgram)
+		if errno := e.stkB.Bind(fd, IPv4Addr{}, uint16(9500+i)); errno != hostos.OK {
+			t.Fatal(errno)
+		}
+		fds = append(fds, fd)
+	}
+	eps := []int{e.stkB.EpollCreate(), e.stkB.EpollCreate()}
+	for _, ep := range eps {
+		for _, fd := range fds {
+			if errno := e.stkB.EpollCtl(ep, EpollCtlAdd, fd, EPOLLOUT); errno != hostos.OK {
+				t.Fatal(errno)
+			}
+		}
+	}
+	reported := func(ep int) []int {
+		evs := make([]Event, 16)
+		n, _ := e.stkB.EpollWait(ep, evs)
+		var got []int
+		for _, ev := range evs[:n] {
+			got = append(got, ev.FD)
+		}
+		return got
+	}
+
+	if errno := e.stkB.Close(fds[2]); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	fresh, _ := e.stkB.Socket(SockDgram) // reuses the closed socket struct
+	if errno := e.stkB.Bind(fresh, IPv4Addr{}, 9600); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	want := []int{fds[0], fds[1], fds[3], fds[4]}
+	for _, ep := range eps {
+		if got := reported(ep); !slices.Equal(got, want) {
+			t.Fatalf("epoll %d after close reported %v, want %v", ep, got, want)
+		}
+	}
+
+	e.stkB.Crash()
+	for _, ep := range eps {
+		if got := reported(ep); len(got) != 0 {
+			t.Fatalf("epoll %d after crash reported %v", ep, got)
+		}
+		if errno := e.stkB.EpollCtl(ep, EpollCtlMod, fds[0], EPOLLIN); errno != hostos.ENOENT {
+			t.Fatalf("Mod of a crash-dropped registration: %v, want ENOENT", errno)
+		}
 	}
 }
