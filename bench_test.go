@@ -276,9 +276,8 @@ func BenchmarkScenario7(b *testing.B) {
 // second (it should match the offered rate), and connect-p99-µs the
 // churn flows' connect tail.
 func BenchmarkScenario8(b *testing.B) {
-	o := core.DefaultRunOptions()
 	cfg := core.Scenario8Config{
-		Shards: o.Shards, Conns: o.Conns, Rate: o.ConnRate, DurationNS: o.S8DurationNS,
+		Shards: 4, Conns: 100_000, Rate: 50_000, DurationNS: core.DefaultScenario8Duration,
 	}
 	var last core.Scenario8Result
 	for i := 0; i < b.N; i++ {

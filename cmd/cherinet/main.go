@@ -5,28 +5,32 @@
 //
 // Usage:
 //
-//	cherinet list              # print the experiment registry
+//	cherinet list              # print the experiment registry and each one's flags
 //	cherinet <name> [flags]    # run one experiment (see `cherinet list`)
-//	cherinet all               # run every registered experiment
+//	cherinet all [-parallel N] # run every registered experiment at its defaults
 //
-// Experiments and their flags come from internal/core's scenario
-// registry; an unknown name suggests the nearest registered ones.
+// Experiments come from internal/core's scenario registry; an unknown
+// name suggests the nearest registered ones. Each experiment defines
+// its own flags, with its own defaults and units: -rate is bits/s for
+// scenario5 and scenario7, flows/s for scenario8 and requests/s for
+// scenario9. A flag the experiment does not read is an error.
 //
-// The -parallel flag (default GOMAXPROCS) sets how many host workers a
-// scenario's sweep cells — and, inside a sharded bed, its stack shards
-// — run on. Every report is byte-identical at any value; -parallel 1
-// restores fully sequential execution.
+// The harness adds one flag to every experiment: -parallel (default
+// GOMAXPROCS) sets how many host workers a scenario's sweep cells —
+// and, inside a sharded bed, its stack shards — run on. Every report is
+// byte-identical at any value; -parallel 1 restores fully sequential
+// execution.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/fstack"
 )
 
 func usage() {
@@ -46,94 +50,8 @@ func main() {
 		return
 	}
 
-	def := core.DefaultRunOptions()
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	iters := fs.Int("iters", def.FFWrite.Iterations, "timed ff_write iterations (paper: 1e6)")
-	interval := fs.Int64("interval", def.FFWrite.IntervalNS, "ns between timed writes")
-	payload := fs.Int("payload", def.FFWrite.Payload, "ff_write payload bytes")
-	shards := fs.Int("shards", def.Shards, "max stack shards for scenarios 4 and 6 (swept in powers of two)")
-	flows := fs.Int("flows", def.Flows, "concurrent iperf flows for scenarios 4 and 6")
-	duration := fs.Int64("duration", def.DurationNS, "scenario4 traffic time (virtual ns)")
-	loss := fs.Float64("loss", def.Loss, "scenario5 max random loss rate (swept from 0)")
-	delay := fs.Int64("delay", def.DelayNS, "scenario5 one-way delay for the loss sweep (ns)")
-	rate := fs.Float64("rate", def.RateBps, "scenario5 bottleneck rate (bits/s); for scenario8, the churn rate (flows/s)")
-	s5dur := fs.Int64("s5duration", def.S5DurationNS, "scenario5 traffic time per point (virtual ns)")
-	ackrate := fs.Float64("ackrate", 0, "scenario6 reverse (ACK) channel bottleneck (bits/s; 0 = clean)")
-	s6dur := fs.Int64("s6duration", def.S6DurationNS, "scenario6 traffic time per point (virtual ns)")
-	mode := fs.String("mode", def.Mode, "scenario6 traffic direction: upload (sharded box sends) or download (peer sends into the cloned listeners)")
-	cc := fs.String("cc", "", fmt.Sprintf("congestion control %v: modern stacks of scenarios 5-6, restricts the scenario7 sweep (empty = reno / both)", fstack.CongestionAlgos()))
-	s7dur := fs.Int64("s7duration", def.S7DurationNS, "scenario7 traffic time per point (virtual ns)")
-	conns := fs.Int("conns", def.Conns, "scenario8 idle connection population held across the churn; for scenario9, the connection/concurrency count")
-	s8dur := fs.Int64("s8duration", def.S8DurationNS, "scenario8 churn time per point (virtual ns)")
-	proto := fs.String("proto", "", "scenario9 protocol: http or dns (empty = both)")
-	s9dur := fs.Int64("s9duration", def.S9DurationNS, "scenario9 measured time per point (virtual ns)")
-	faults := fs.Int("faults", def.Faults, "scenario10 injected capability-fault count")
-	mtbf := fs.Int64("mtbf", def.MTBFNS, "scenario10 mean time between faults (virtual ns)")
-	s10dur := fs.Int64("s10duration", def.S10DurationNS, "scenario10 measured time (virtual ns)")
-	traceDir := fs.String("trace", "", "scenario5: write per-point Chrome trace-event JSON into this directory")
-	metricsDir := fs.String("metrics", "", "scenario5: write per-point metrics timeseries (CSV+JSON) into this directory")
-	pcapDir := fs.String("pcap", "", "scenario5: write per-point per-peer libpcap captures under this directory")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "host workers for sweep cells and shard stepping (1 = sequential; output is identical at any value)")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		usage()
-	}
-	core.SetParallelism(*parallel)
-	if !fstack.ValidCongestion(*cc) {
-		fmt.Fprintf(os.Stderr, "cherinet: -cc %q is not a registered algorithm (have %v)\n",
-			*cc, fstack.CongestionAlgos())
-		os.Exit(2)
-	}
-	opts := core.RunOptions{
-		FFWrite:       core.FFWriteConfig{Iterations: *iters, IntervalNS: *interval, Payload: *payload},
-		Shards:        *shards,
-		Flows:         *flows,
-		DurationNS:    *duration,
-		Loss:          *loss,
-		DelayNS:       *delay,
-		RateBps:       *rate,
-		S5DurationNS:  *s5dur,
-		AckRateBps:    *ackrate,
-		S6DurationNS:  *s6dur,
-		Mode:          *mode,
-		Congestion:    *cc,
-		S7DurationNS:  *s7dur,
-		Conns:         *conns,
-		ConnRate:      def.ConnRate,
-		S8DurationNS:  *s8dur,
-		Proto:         *proto,
-		S9Rate:        def.S9Rate,
-		S9Conns:       def.S9Conns,
-		S9DurationNS:  *s9dur,
-		Faults:        *faults,
-		MTBFNS:        *mtbf,
-		S10Conns:      def.S10Conns,
-		S10DurationNS: *s10dur,
-		TraceDir:      *traceDir,
-		MetricsDir:    *metricsDir,
-		PcapDir:       *pcapDir,
-	}
-	// -rate and -conns are overloaded: -rate is bits/s for scenario5's
-	// bottleneck, flows/s for scenario8's churn, requests/s for
-	// scenario9; -conns is scenario8's idle population or scenario9's
-	// connection count. Only explicit flags move a ladder off its
-	// default.
-	fs.Visit(func(f *flag.Flag) {
-		switch {
-		case cmd == "scenario8" && f.Name == "rate":
-			opts.ConnRate = *rate
-		case cmd == "scenario9" && f.Name == "rate":
-			opts.S9Rate = *rate
-		case cmd == "scenario9" && f.Name == "conns":
-			opts.S9Conns = *conns
-		case cmd == "scenario10" && f.Name == "conns":
-			opts.S10Conns = *conns
-		}
-	})
-
-	var entries []core.ScenarioEntry
-	if cmd == "all" {
-		entries = core.Registry
-	} else {
+	entries := core.Registry
+	if cmd != "all" {
 		e, ok := core.LookupScenario(cmd)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "cherinet: unknown experiment %q\n", cmd)
@@ -145,9 +63,24 @@ func main() {
 		}
 		entries = []core.ScenarioEntry{e}
 	}
-	for _, e := range entries {
-		if err := e.Run(opts, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "cherinet %s: %v\n", e.Name, err)
+
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "host workers for sweep cells and shard stepping (1 = sequential; output is identical at any value)")
+	runs := make([]func(w io.Writer) error, len(entries))
+	for i, e := range entries {
+		efs := fs
+		if cmd == "all" {
+			// Each experiment runs at its own defaults.
+			efs = flag.NewFlagSet(e.Name, flag.ContinueOnError)
+		}
+		runs[i] = e.Bind(efs)
+	}
+	fs.Parse(os.Args[2:])
+	core.SetParallelism(*parallel)
+
+	for i, run := range runs {
+		if err := run(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "cherinet %s: %v\n", entries[i].Name, err)
 			os.Exit(1)
 		}
 		fmt.Println()

@@ -3,26 +3,17 @@ package app
 import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
+	"repro/internal/iperf"
 )
 
 // API is the slice of the ff_* surface the application plane needs:
-// churn.API plus the datagram calls. Stack.*, Loop.Locked() and
-// ShardedStack.API() all satisfy it, so the same workload runs on
-// every compartment layout.
+// the iperf.API socket and epoll calls plus the datagram calls.
+// Stack.*, Loop.Locked() and ShardedStack.API() all satisfy it, so the
+// same workload runs on every compartment layout.
 type API interface {
-	Socket(typ int) (int, hostos.Errno)
-	Bind(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
-	Listen(fd, backlog int) hostos.Errno
-	Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno)
-	Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
-	Read(fd int, dst []byte) (int, hostos.Errno)
-	Write(fd int, src []byte) (int, hostos.Errno)
+	iperf.API
 	SendTo(fd int, data []byte, ip fstack.IPv4Addr, port uint16) (int, hostos.Errno)
 	RecvFrom(fd int, dst []byte) (int, fstack.IPv4Addr, uint16, hostos.Errno)
-	Close(fd int) hostos.Errno
-	EpollCreate() int
-	EpollCtl(epfd, op, fd int, events uint32) hostos.Errno
-	EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno)
 }
 
 const (

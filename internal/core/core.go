@@ -54,3 +54,11 @@ var mask24 = testbed.Mask24
 
 func localIP(port int) fstack.IPv4Addr { return testbed.LocalIP(port) }
 func peerIP(port int) fstack.IPv4Addr  { return testbed.PeerIP(port) }
+
+// modeName labels a capability mode in reports and export file names.
+func modeName(capMode bool) string {
+	if capMode {
+		return "cheri"
+	}
+	return "baseline"
+}

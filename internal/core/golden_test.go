@@ -103,7 +103,7 @@ func TestGoldenScenario4(t *testing.T) {
 // loss, 20 ms RTT, 100 Mbit/s bottleneck, both modes and both stacks).
 func TestGoldenScenario5(t *testing.T) {
 	skipUnderRace(t)
-	results, err := RunScenario5LossSweep([]float64{0, 0.005}, 10e6, 100e6, "", 300e6)
+	results, err := RunScenario5LossSweep([]float64{0, 0.005}, 10e6, 100e6, "", 300e6, Scenario5Obs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,6 @@ func TestGoldenScenario9(t *testing.T) {
 // probe shows up as a byte diff in the dip/blast/MTTR columns.
 func TestGoldenScenario10(t *testing.T) {
 	skipUnderRace(t)
-	results, err := runScenario10Cells(Parallelism(), Scenario10Config{
-		Shards: 3, Faults: 2, MTBFNS: 40e6,
-		Conns: 2, DurationNS: 300e6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := s10Results(t)
 	assertGolden(t, "scenario10.golden", FormatScenario10(results))
 }

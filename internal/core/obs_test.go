@@ -121,7 +121,7 @@ func TestScenario5ObsExport(t *testing.T) {
 		PcapDir:    filepath.Join(dir, "pcap"),
 	}
 	cfg := Scenario5Config{Modern: true, Link: netem.Config{LossRate: 0.005, DelayNS: 5e6}}
-	r, err := runScenario5Point(cfg, 100e6, []Scenario5Obs{so})
+	r, err := runScenario5Point(cfg, 100e6, so)
 	if err != nil {
 		t.Fatal(err)
 	}

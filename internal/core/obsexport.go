@@ -8,13 +8,10 @@ import (
 	"repro/internal/testbed"
 )
 
-// Scenario5Obs configures observability for a Scenario 5 sweep: which
-// instruments each point's bed carries, and where the per-point exports
-// land. The zero value disables everything (the sweeps' default).
+// Scenario5Obs configures observability for a Scenario 5 sweep: where
+// the per-point exports land, which also decides the instruments each
+// point's bed carries. The zero value disables everything.
 type Scenario5Obs struct {
-	// Spec is wired into every sweep point's bed (PcapDir is managed
-	// per point — set PcapDir below instead).
-	Spec testbed.ObsSpec
 	// TraceDir, when non-empty, receives one Chrome trace-event JSON
 	// per point (<label>.trace.json), loadable in Perfetto.
 	TraceDir string
@@ -26,8 +23,8 @@ type Scenario5Obs struct {
 	PcapDir string
 }
 
-// scenario5DefaultTrace and scenario5DefaultSample size the instruments
-// when an export destination is given without explicit knobs.
+// scenario5DefaultTrace and scenario5DefaultSample size the flight
+// recorder and the metrics sampler of a point that exports them.
 const (
 	scenario5DefaultTrace  = 65536
 	scenario5DefaultSample = int64(1e6) // 1 ms virtual
@@ -37,16 +34,14 @@ const (
 // destinations imply their instruments, and captures go into a
 // per-point subdirectory so points do not overwrite each other.
 func (o Scenario5Obs) pointSpec(label string) testbed.ObsSpec {
-	spec := o.Spec
-	if o.TraceDir != "" && spec.TraceEvents == 0 {
+	var spec testbed.ObsSpec
+	if o.TraceDir != "" {
 		spec.TraceEvents = scenario5DefaultTrace
 	}
-	if o.MetricsDir != "" && spec.SampleNS == 0 {
+	if o.MetricsDir != "" {
 		spec.SampleNS = scenario5DefaultSample
 	}
-	if o.TraceDir != "" || o.MetricsDir != "" {
-		spec.Latency = true
-	}
+	spec.Latency = o.TraceDir != "" || o.MetricsDir != ""
 	if o.PcapDir != "" {
 		spec.PcapDir = filepath.Join(o.PcapDir, label)
 	}
@@ -100,13 +95,9 @@ func writeTo(dir, name string, write func(f *os.File) error) error {
 // scenario5Label names one sweep point for export filenames:
 // mode_recovery_loss_rtt, e.g. "baseline_sack_loss0.25_rtt20ms".
 func scenario5Label(cfg Scenario5Config) string {
-	mode := "baseline"
-	if cfg.CapMode {
-		mode = "cheri"
-	}
 	rec := "gbn"
 	if cfg.Modern {
 		rec = "sack"
 	}
-	return fmt.Sprintf("%s_%s_loss%.2f_rtt%dms", mode, rec, cfg.Link.LossRate*100, 2*cfg.Link.DelayNS/1e6)
+	return fmt.Sprintf("%s_%s_loss%.2f_rtt%dms", modeName(cfg.CapMode), rec, cfg.Link.LossRate*100, 2*cfg.Link.DelayNS/1e6)
 }

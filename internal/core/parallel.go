@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -101,4 +102,18 @@ func RunCells[T any](parallelism, n int, run func(i int) (T, error)) ([]T, error
 		}
 	}
 	return out, nil
+}
+
+// sweep runs every cell of a scenario sweep through RunCells and
+// prefixes a failing cell's error with where(cell), so the reported
+// error (the lowest failing index's) names the sweep point it came
+// from.
+func sweep[C, R any](parallelism int, cells []C, run func(C) (R, error), where func(C) string) ([]R, error) {
+	return RunCells(parallelism, len(cells), func(i int) (R, error) {
+		r, err := run(cells[i])
+		if err != nil {
+			return r, fmt.Errorf("%s: %w", where(cells[i]), err)
+		}
+		return r, nil
+	})
 }

@@ -80,7 +80,7 @@ func TestParallelSweepUnderRace(t *testing.T) {
 	withParallelism(4, func() {
 		// Cell-level: four Scenario 5 cells (cap × modern at one loss
 		// point) on four workers, each building and driving its own bed.
-		results, err := RunScenario5LossSweep([]float64{0.005}, 5e6, 50e6, "", 50e6)
+		results, err := RunScenario5LossSweep([]float64{0.005}, 5e6, 50e6, "", 50e6, Scenario5Obs{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"sort"
@@ -13,103 +14,15 @@ import (
 )
 
 // The scenario registry: one table naming every experiment the
-// reproduction can run, with a one-line description and the flags that
-// apply. cmd/cherinet consumes it for dispatch, `cherinet list`, and
-// near-miss suggestions; anything else (examples, future front ends)
-// can iterate it the same way.
-
-// RunOptions carries every flag the registered experiments understand.
-// Run uses the values verbatim — zero is meaningful (e.g. Loss 0 is a
-// loss-free sweep) — so programmatic callers should start from
-// DefaultRunOptions and override fields, exactly as cmd/cherinet's
-// flag defaults do.
-type RunOptions struct {
-	// FFWrite parameterizes the timed ff_write probes (figs 4-6).
-	FFWrite FFWriteConfig
-	// Shards is the maximum shard count for scenarios 4 and 6 (swept
-	// in powers of two); Flows the concurrent iperf flow count.
-	Shards int
-	Flows  int
-	// DurationNS is scenario 4's per-measurement traffic time.
-	DurationNS int64
-	// Loss, DelayNS, RateBps shape scenarios 5 and 6's links;
-	// S5DurationNS is scenario 5's per-point traffic time.
-	Loss         float64
-	DelayNS      int64
-	RateBps      float64
-	S5DurationNS int64
-	// AckRateBps, when positive, squeezes scenario 6's reverse (ACK)
-	// channel — the per-direction link demo. S6DurationNS is scenario
-	// 6's per-point traffic time.
-	AckRateBps   float64
-	S6DurationNS int64
-	// Mode selects scenario 6's traffic direction: "upload" (the
-	// sharded box sends) or "download" (the peer sends into the
-	// RSS-cloned listeners through the impaired link).
-	Mode string
-	// Congestion picks the congestion-control algorithm for the modern
-	// stacks of scenarios 5 and 6, and restricts scenario 7's sweep to
-	// one controller ("" sweeps reno and cubic). S7DurationNS is
-	// scenario 7's per-point traffic time.
-	Congestion   string
-	S7DurationNS int64
-	// Conns is scenario 8's idle connection population; ConnRate its
-	// offered churn rate in flows/s (the sweep ladder tops out there);
-	// S8DurationNS its churn time per point.
-	Conns        int
-	ConnRate     float64
-	S8DurationNS int64
-	// Proto restricts scenario 9 to one protocol ("" runs http and
-	// dns); S9Rate is its open-loop offered rate in requests/s (ladder
-	// top), S9Conns the connection/concurrency count (ladder top for
-	// the closed-loop sweep), S9DurationNS its measured time per point.
-	// Scenario 9 shares -loss and -delay for its link impairment.
-	Proto        string
-	S9Rate       float64
-	S9Conns      int
-	S9DurationNS int64
-	// Faults caps scenario 10's injected capability-fault count; MTBFNS
-	// is its mean time between faults; S10Conns its per-shard closed-
-	// loop connection count; S10DurationNS its measured time.
-	Faults        int
-	MTBFNS        int64
-	S10Conns      int
-	S10DurationNS int64
-	// TraceDir, MetricsDir and PcapDir switch on the observability
-	// layer for scenario 5: per-point Chrome trace-event JSON, metrics
-	// timeseries (CSV + JSON), and per-peer link captures. Empty (the
-	// default) keeps observability off and output byte-identical.
-	TraceDir   string
-	MetricsDir string
-	PcapDir    string
-}
-
-// DefaultRunOptions mirrors the cherinet flag defaults.
-func DefaultRunOptions() RunOptions {
-	return RunOptions{
-		FFWrite:       FFWriteConfig{Iterations: 100_000, IntervalNS: 20_000, Payload: 1448},
-		Shards:        4,
-		Flows:         8,
-		DurationNS:    DefaultScenario4Duration,
-		Loss:          0.01,
-		DelayNS:       10e6,
-		RateBps:       100e6,
-		S5DurationNS:  DefaultScenario5Duration,
-		S6DurationNS:  DefaultScenario6Duration,
-		Mode:          "upload",
-		S7DurationNS:  DefaultScenario7Duration,
-		Conns:         100_000,
-		ConnRate:      50_000,
-		S8DurationNS:  DefaultScenario8Duration,
-		S9Rate:        20_000,
-		S9Conns:       32,
-		S9DurationNS:  DefaultScenario9Duration,
-		Faults:        4,
-		MTBFNS:        60e6,
-		S10Conns:      4,
-		S10DurationNS: DefaultScenario10Duration,
-	}
-}
+// reproduction can run. Each entry owns its flags: Bind defines on a
+// FlagSet exactly the flags that experiment reads, with their defaults
+// and units, and returns the run that reads them once the set is
+// parsed. A flag therefore means one thing per experiment, an
+// experiment rejects a flag it does not read, and `cherinet list`
+// derives each entry's flag names from the FlagSet it binds.
+// cmd/cherinet consumes the registry for dispatch, `cherinet list` and
+// near-miss suggestions, and adds its one harness flag (-parallel) to
+// every FlagSet.
 
 // ScenarioEntry is one registered experiment.
 type ScenarioEntry struct {
@@ -117,10 +30,9 @@ type ScenarioEntry struct {
 	Name string
 	// Desc is the one-line description `cherinet list` prints.
 	Desc string
-	// Flags names the flags that affect this experiment (for list).
-	Flags string
-	// Run executes the experiment and writes its report to w.
-	Run func(o RunOptions, w io.Writer) error
+	// Bind defines this experiment's flags on fs and returns the run,
+	// which writes the report to w using the parsed flag values.
+	Bind func(fs *flag.FlagSet) func(w io.Writer) error
 }
 
 // Registry lists every runnable experiment, in `cherinet all` order.
@@ -128,7 +40,7 @@ var Registry = []ScenarioEntry{
 	{
 		Name: "fig3",
 		Desc: "capability out-of-bounds demonstration (applications escaping their boundaries)",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			rep, err := RunFig3()
 			if err != nil {
 				return err
@@ -136,12 +48,12 @@ var Registry = []ScenarioEntry{
 			fmt.Fprintln(w, "FIG 3 — applications accessing memory outside their boundaries")
 			fmt.Fprintln(w, " ", rep)
 			return nil
-		},
+		}),
 	},
 	{
 		Name: "table1",
 		Desc: "capability-integration LoC of the F-Stack port",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			row, err := RunTable1()
 			if err != nil {
 				return err
@@ -149,63 +61,27 @@ var Registry = []ScenarioEntry{
 			fmt.Fprintln(w, "TABLE I — capability-integration lines in the TCP/IP library")
 			fmt.Fprintln(w, " ", row)
 			return nil
-		},
+		}),
 	},
 	{
 		Name: "table2",
 		Desc: "TCP bandwidth, Baseline + Scenarios 1-2, both directions (virtual time)",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			blocks, err := RunTable2()
 			if err != nil {
 				return err
 			}
 			fmt.Fprint(w, FormatTable2(blocks))
 			return nil
-		},
+		}),
 	},
-	{
-		Name:  "fig4",
-		Desc:  "ff_write() execution time: Scenario 1 vs Baseline",
-		Flags: "-iters -interval -payload",
-		Run: func(o RunOptions, w io.Writer) error {
-			sets, err := MeasureFig4(o.FFWrite)
-			if err != nil {
-				return err
-			}
-			printBoxes(w, "FIG 4 — ff_write() execution time: Scenario 1 vs Baseline (ns)", sets)
-			return nil
-		},
-	},
-	{
-		Name:  "fig5",
-		Desc:  "ff_write() execution time: Scenario 2 (uncontended) vs Baseline",
-		Flags: "-iters -interval -payload",
-		Run: func(o RunOptions, w io.Writer) error {
-			sets, err := MeasureFig5(o.FFWrite)
-			if err != nil {
-				return err
-			}
-			printBoxes(w, "FIG 5 — ff_write() execution time: Scenario 2 (uncontended) vs Baseline (ns)", sets)
-			return nil
-		},
-	},
-	{
-		Name:  "fig6",
-		Desc:  "ff_write() execution time: Scenario 2 uncontended vs contended",
-		Flags: "-iters -interval -payload",
-		Run: func(o RunOptions, w io.Writer) error {
-			sets, err := MeasureFig6(o.FFWrite)
-			if err != nil {
-				return err
-			}
-			printBoxes(w, "FIG 6 — ff_write() execution time: Scenario 2 uncontended vs contended (ns)", sets)
-			return nil
-		},
-	},
+	ffWriteEntry("fig4", "ff_write() execution time: Scenario 1 vs Baseline", MeasureFig4),
+	ffWriteEntry("fig5", "ff_write() execution time: Scenario 2 (uncontended) vs Baseline", MeasureFig5),
+	ffWriteEntry("fig6", "ff_write() execution time: Scenario 2 uncontended vs contended", MeasureFig6),
 	{
 		Name: "scenario3",
 		Desc: "future-work split: DPDK in its own cVM, gates on the datapath (bandwidth)",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			for _, dir := range []Direction{LocalIsServer, LocalIsClient} {
 				s, err := NewScenario3(sim.NewVClock())
 				if err != nil {
@@ -221,202 +97,282 @@ var Registry = []ScenarioEntry{
 				}
 			}
 			return nil
-		},
+		}),
 	},
 	{
-		Name:  "scenario4",
-		Desc:  "multi-core scaling: sharded stack over RSS queues, goodput vs shard count",
-		Flags: "-shards -flows -duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			results, err := RunScenario4Sweep(powersOfTwo(o.Shards), o.Flows, o.DurationNS)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario4(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario5",
-		Desc:  "lossy high-BDP WAN: goodput vs loss and vs BDP, go-back-N vs SACK+WS",
-		Flags: "-loss -delay -rate -cc -s5duration -trace -metrics -pcap",
-		Run: func(o RunOptions, w io.Writer) error {
-			so := Scenario5Obs{TraceDir: o.TraceDir, MetricsDir: o.MetricsDir, PcapDir: o.PcapDir}
-			losses := []float64{0, o.Loss / 4, o.Loss / 2, o.Loss}
-			lossResults, err := RunScenario5LossSweep(losses, o.DelayNS, o.RateBps, o.Congestion, o.S5DurationNS, so)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario5(
-				fmt.Sprintf("goodput vs random loss (%.0f Mbit/s bottleneck, %.0f ms RTT)",
-					o.RateBps/1e6, float64(2*o.DelayNS)/1e6), lossResults))
-			fmt.Fprintln(w)
-			bdpResults, err := RunScenario5BDPSweep(
-				[]int64{1e6, 5e6, 20e6, 50e6}, o.Loss/4, o.RateBps, o.Congestion, o.S5DurationNS, so)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario5(
-				fmt.Sprintf("goodput vs path BDP (%.0f Mbit/s bottleneck, %.2f%% loss)",
-					o.RateBps/1e6, o.Loss/4*100), bdpResults))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario6",
-		Desc:  "composed: sharded stack over an impaired WAN, paper stack vs shards+SACK",
-		Flags: "-shards -flows -mode -ackrate -cc -s6duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			base := Scenario6Config{Congestion: o.Congestion}
-			switch o.Mode {
-			case "", "upload":
-			case "download":
-				base.Download = true
-			default:
-				return fmt.Errorf("-mode must be upload or download, not %q", o.Mode)
-			}
-			if o.AckRateBps > 0 {
-				// Squeeze only the ACK channel; propagation stays
-				// symmetric.
-				base.Rev = &netem.Config{DelayNS: s6DelayNS, RateBps: o.AckRateBps}
-			}
-			results, err := RunScenario6Sweep(powersOfTwo(o.Shards), o.Flows, o.S6DurationNS, base)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario6(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario7",
-		Desc:  "WAN utilization vs congestion control: reno vs cubic across the RTT ladder",
-		Flags: "-cc -rate -s7duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			ccs := []string{fstack.CCReno, fstack.CCCubic}
-			if o.Congestion != "" {
-				if !fstack.ValidCongestion(o.Congestion) {
-					return fmt.Errorf("-cc must be one of %v, not %q",
-						fstack.CongestionAlgos(), o.Congestion)
+		Name: "scenario4",
+		Desc: "multi-core scaling: sharded stack over RSS queues, goodput vs shard count",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			shards := fs.Int("shards", 4, "max stack shards (swept in powers of two)")
+			flows := fs.Int("flows", 8, "concurrent iperf flows")
+			dur := fs.Int64("duration", DefaultScenario4Duration, "traffic time per measurement (virtual ns)")
+			return func(w io.Writer) error {
+				if *shards < 1 {
+					return fmt.Errorf("-shards must be at least 1")
 				}
-				ccs = []string{o.Congestion}
-			}
-			// The paper's BDP ladder: 10/50/100/200 ms RTT.
-			results, err := RunScenario7RTTSweep(
-				[]int64{5e6, 25e6, 50e6, 100e6}, ccs, o.RateBps, o.S7DurationNS)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario7(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario8",
-		Desc:  "connection churn storm: idle 100k-conn population held while rate-paced short flows churn",
-		Flags: "-conns -rate -shards -s8duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			if o.Conns < 1 {
-				return fmt.Errorf("-conns must be at least 1")
-			}
-			if o.ConnRate <= 0 {
-				return fmt.Errorf("the churn rate must be positive")
-			}
-			rates := []float64{o.ConnRate / 4, o.ConnRate / 2, o.ConnRate}
-			results, err := RunScenario8RateSweep(o.Shards, o.Conns, rates, o.S8DurationNS)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario8(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario9",
-		Desc:  "request/response tail latency: HTTP/1.1 keep-alive and DNS-shaped UDP, p50/p99/p999 per request",
-		Flags: "-proto -rate -conns -loss -delay -shards -s9duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			protos := []string{"http", "dns"}
-			switch o.Proto {
-			case "":
-			case "http", "dns":
-				protos = []string{o.Proto}
-			default:
-				return fmt.Errorf("-proto must be http or dns, not %q", o.Proto)
-			}
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			if o.S9Conns < 1 {
-				return fmt.Errorf("-conns must be at least 1")
-			}
-			if o.S9Rate <= 0 {
-				return fmt.Errorf("the request rate must be positive")
-			}
-			link := netem.Config{LossRate: o.Loss, DelayNS: o.DelayNS}
-			rates := []float64{o.S9Rate / 4, o.S9Rate / 2, o.S9Rate}
-			concs := []int{o.S9Conns / 4, o.S9Conns / 2, o.S9Conns}
-			for i, c := range concs {
-				if c < 1 {
-					concs[i] = 1
-				}
-			}
-			for _, proto := range protos {
-				open, err := RunScenario9RateSweep(proto, o.Shards, o.S9Conns, rates, link, o.S9DurationNS)
+				results, err := RunScenario4Sweep(powersOfTwo(*shards), *flows, *dur)
 				if err != nil {
 					return err
 				}
-				fmt.Fprint(w, FormatScenario9(
-					fmt.Sprintf("%s open-loop rate sweep (%.2f%% loss, %.0f ms RTT)",
-						proto, o.Loss*100, float64(2*o.DelayNS)/1e6), open))
-				closed, err := RunScenario9ConcurrencySweep(proto, o.Shards, concs, link, o.S9DurationNS)
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, FormatScenario9(
-					fmt.Sprintf("%s closed-loop concurrency sweep (%.2f%% loss, %.0f ms RTT)",
-						proto, o.Loss*100, float64(2*o.DelayNS)/1e6), closed))
+				fmt.Fprint(w, FormatScenario4(results))
+				return nil
 			}
-			return nil
 		},
 	},
 	{
-		Name:  "scenario10",
-		Desc:  "fault storm: injected capability faults, blast radius and time-to-recovery, baseline vs cheri",
-		Flags: "-shards -faults -mtbf -conns -s10duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
+		Name: "scenario5",
+		Desc: "lossy high-BDP WAN: goodput vs loss and vs BDP, go-back-N vs SACK+WS",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			loss := fs.Float64("loss", 0.01, "max random loss rate (swept from 0); the BDP sweep runs at a quarter of it")
+			delay := fs.Int64("delay", 10e6, "one-way delay for the loss sweep (ns)")
+			rate := fs.Float64("rate", 100e6, "bottleneck rate (bits/s)")
+			cc := bindCC(fs, "the modern stack's controller (empty = reno)")
+			dur := fs.Int64("s5duration", DefaultScenario5Duration, "traffic time per point (virtual ns)")
+			var obs Scenario5Obs
+			fs.StringVar(&obs.TraceDir, "trace", "", "write per-point Chrome trace-event JSON into this directory")
+			fs.StringVar(&obs.MetricsDir, "metrics", "", "write per-point metrics timeseries (CSV+JSON) into this directory")
+			fs.StringVar(&obs.PcapDir, "pcap", "", "write per-point per-peer libpcap captures under this directory")
+			return func(w io.Writer) error {
+				losses := []float64{0, *loss / 4, *loss / 2, *loss}
+				lossResults, err := RunScenario5LossSweep(losses, *delay, *rate, *cc, *dur, obs)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario5(
+					fmt.Sprintf("goodput vs random loss (%.0f Mbit/s bottleneck, %.0f ms RTT)",
+						*rate/1e6, float64(2**delay)/1e6), lossResults))
+				fmt.Fprintln(w)
+				bdpResults, err := RunScenario5BDPSweep(
+					[]int64{1e6, 5e6, 20e6, 50e6}, *loss/4, *rate, *cc, *dur, obs)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario5(
+					fmt.Sprintf("goodput vs path BDP (%.0f Mbit/s bottleneck, %.2f%% loss)",
+						*rate/1e6, *loss/4*100), bdpResults))
+				return nil
 			}
-			if o.Faults < 1 {
-				return fmt.Errorf("-faults must be at least 1")
+		},
+	},
+	{
+		Name: "scenario6",
+		Desc: "composed: sharded stack over an impaired WAN, paper stack vs shards+SACK",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			shards := fs.Int("shards", 4, "max stack shards (swept in powers of two)")
+			flows := fs.Int("flows", 8, "concurrent iperf flows")
+			mode := fs.String("mode", "upload", "traffic direction: upload (sharded box sends) or download (peer sends into the cloned listeners)")
+			ackRate := fs.Float64("ackrate", 0, "reverse (ACK) channel bottleneck (bits/s; 0 = clean)")
+			cc := bindCC(fs, "the modern stacks' controller (empty = reno)")
+			dur := fs.Int64("s6duration", DefaultScenario6Duration, "traffic time per point (virtual ns)")
+			return func(w io.Writer) error {
+				if *shards < 1 {
+					return fmt.Errorf("-shards must be at least 1")
+				}
+				base := Scenario6Config{Congestion: *cc}
+				switch *mode {
+				case "", "upload":
+				case "download":
+					base.Download = true
+				default:
+					return fmt.Errorf("-mode must be upload or download, not %q", *mode)
+				}
+				if *ackRate > 0 {
+					// Squeeze only the ACK channel; propagation stays
+					// symmetric.
+					base.Rev = &netem.Config{DelayNS: s6DelayNS, RateBps: *ackRate}
+				}
+				results, err := RunScenario6Sweep(powersOfTwo(*shards), *flows, *dur, base)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario6(results))
+				return nil
 			}
-			if o.MTBFNS <= 0 {
-				return fmt.Errorf("-mtbf must be positive")
+		},
+	},
+	{
+		Name: "scenario7",
+		Desc: "WAN utilization vs congestion control: reno vs cubic across the RTT ladder",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			cc := bindCC(fs, "restricts the sweep to one controller (empty = both)")
+			rate := fs.Float64("rate", 100e6, "bottleneck rate (bits/s)")
+			dur := fs.Int64("s7duration", DefaultScenario7Duration, "traffic time per point (virtual ns)")
+			return func(w io.Writer) error {
+				ccs := []string{fstack.CCReno, fstack.CCCubic}
+				if *cc != "" {
+					ccs = []string{*cc}
+				}
+				// The paper's BDP ladder: 10/50/100/200 ms RTT.
+				results, err := RunScenario7RTTSweep([]int64{5e6, 25e6, 50e6, 100e6}, ccs, *rate, *dur)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario7(results))
+				return nil
 			}
-			if o.S10Conns < 1 {
-				return fmt.Errorf("-conns must be at least 1")
+		},
+	},
+	{
+		Name: "scenario8",
+		Desc: "connection churn storm: idle 100k-conn population held while rate-paced short flows churn",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			conns := fs.Int("conns", 100_000, "idle connection population held across the churn")
+			rate := fs.Float64("rate", 50_000, "churn rate (flows/s); the sweep runs rate/4, rate/2, rate")
+			shards := fs.Int("shards", 4, "stack shards")
+			dur := fs.Int64("s8duration", DefaultScenario8Duration, "churn time per point (virtual ns)")
+			return func(w io.Writer) error {
+				if *shards < 1 {
+					return fmt.Errorf("-shards must be at least 1")
+				}
+				if *conns < 1 {
+					return fmt.Errorf("-conns must be at least 1")
+				}
+				if *rate <= 0 {
+					return fmt.Errorf("-rate must be positive")
+				}
+				rates := []float64{*rate / 4, *rate / 2, *rate}
+				results, err := RunScenario8RateSweep(*shards, *conns, rates, *dur)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario8(results))
+				return nil
 			}
-			results, err := RunScenario10Sweep(Scenario10Config{
-				Shards: o.Shards, Faults: o.Faults, MTBFNS: o.MTBFNS,
-				Conns: o.S10Conns, DurationNS: o.S10DurationNS,
-			})
+		},
+	},
+	{
+		Name: "scenario9",
+		Desc: "request/response tail latency: HTTP/1.1 keep-alive and DNS-shaped UDP, p50/p99/p999 per request",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			proto := fs.String("proto", "", "protocol: http or dns (empty = both)")
+			rate := fs.Float64("rate", 20_000, "open-loop request rate (requests/s); the sweep runs rate/4, rate/2, rate")
+			conns := fs.Int("conns", 32, "connections of the open-loop sweep; the closed-loop sweep runs conns/4, conns/2, conns")
+			loss := fs.Float64("loss", 0.01, "random loss rate of the link")
+			delay := fs.Int64("delay", 10e6, "one-way delay of the link (ns)")
+			shards := fs.Int("shards", 4, "stack shards")
+			dur := fs.Int64("s9duration", DefaultScenario9Duration, "measured time per point (virtual ns)")
+			return func(w io.Writer) error {
+				protos := []string{"http", "dns"}
+				switch *proto {
+				case "":
+				case "http", "dns":
+					protos = []string{*proto}
+				default:
+					return fmt.Errorf("-proto must be http or dns, not %q", *proto)
+				}
+				if *shards < 1 {
+					return fmt.Errorf("-shards must be at least 1")
+				}
+				if *conns < 1 {
+					return fmt.Errorf("-conns must be at least 1")
+				}
+				if *rate <= 0 {
+					return fmt.Errorf("-rate must be positive")
+				}
+				link := netem.Config{LossRate: *loss, DelayNS: *delay}
+				rates := []float64{*rate / 4, *rate / 2, *rate}
+				concs := []int{max(*conns/4, 1), max(*conns/2, 1), *conns}
+				for _, p := range protos {
+					title := func(kind string) string {
+						return fmt.Sprintf("%s %s (%.2f%% loss, %.0f ms RTT)",
+							p, kind, *loss*100, float64(2**delay)/1e6)
+					}
+					open, err := RunScenario9RateSweep(p, *shards, *conns, rates, link, *dur)
+					if err != nil {
+						return err
+					}
+					fmt.Fprint(w, FormatScenario9(title("open-loop rate sweep"), open))
+					closed, err := RunScenario9ConcurrencySweep(p, *shards, concs, link, *dur)
+					if err != nil {
+						return err
+					}
+					fmt.Fprint(w, FormatScenario9(title("closed-loop concurrency sweep"), closed))
+				}
+				return nil
+			}
+		},
+	},
+	{
+		Name: "scenario10",
+		Desc: "fault storm: injected capability faults, blast radius and time-to-recovery, baseline vs cheri",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			var cfg Scenario10Config
+			fs.IntVar(&cfg.Shards, "shards", 4, "stack shards, one compartment+server each")
+			fs.IntVar(&cfg.Faults, "faults", 4, "injected capability-fault count")
+			fs.Int64Var(&cfg.MTBFNS, "mtbf", 60e6, "mean time between faults (virtual ns)")
+			fs.IntVar(&cfg.Conns, "conns", 4, "closed-loop connections per shard")
+			fs.Int64Var(&cfg.DurationNS, "s10duration", DefaultScenario10Duration, "measured time (virtual ns)")
+			return func(w io.Writer) error {
+				if cfg.Shards < 1 {
+					return fmt.Errorf("-shards must be at least 1")
+				}
+				if cfg.Faults < 1 {
+					return fmt.Errorf("-faults must be at least 1")
+				}
+				if cfg.MTBFNS <= 0 {
+					return fmt.Errorf("-mtbf must be positive")
+				}
+				if cfg.Conns < 1 {
+					return fmt.Errorf("-conns must be at least 1")
+				}
+				results, err := RunScenario10Sweep(cfg)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario10(results))
+				return nil
+			}
+		},
+	},
+}
+
+// noFlags binds an experiment that takes no flags.
+func noFlags(run func(w io.Writer) error) func(*flag.FlagSet) func(io.Writer) error {
+	return func(*flag.FlagSet) func(io.Writer) error { return run }
+}
+
+// ffWriteEntry registers one of Figs 4-6: the timed ff_write probe
+// flags, measure's latency sets, and their box summaries titled from
+// the name and description.
+func ffWriteEntry(name, desc string, measure func(FFWriteConfig) ([]LatencySet, error)) ScenarioEntry {
+	return ScenarioEntry{Name: name, Desc: desc, Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+		var cfg FFWriteConfig
+		fs.IntVar(&cfg.Iterations, "iters", 100_000, "timed ff_write iterations (paper: 1e6)")
+		fs.Int64Var(&cfg.IntervalNS, "interval", 20_000, "ns between timed writes")
+		fs.IntVar(&cfg.Payload, "payload", 1448, "ff_write payload bytes")
+		return func(w io.Writer) error {
+			sets, err := measure(cfg)
 			if err != nil {
 				return err
 			}
-			fmt.Fprint(w, FormatScenario10(results))
+			printBoxes(w, fmt.Sprintf("FIG %s — %s (ns)", strings.TrimPrefix(name, "fig"), desc), sets)
 			return nil
-		},
-	},
+		}
+	}}
+}
+
+// bindCC defines -cc (Scenarios 5-7). An unregistered algorithm fails
+// the flag parse, before anything runs.
+func bindCC(fs *flag.FlagSet, usage string) *string {
+	cc := new(string)
+	fs.Func("cc", fmt.Sprintf("congestion control %v: %s", fstack.CongestionAlgos(), usage), func(s string) error {
+		if !fstack.ValidCongestion(s) {
+			return fmt.Errorf("not a registered algorithm (have %v)", fstack.CongestionAlgos())
+		}
+		*cc = s
+		return nil
+	})
+	return cc
+}
+
+// flagNames lists the flags e defines, in flag.VisitAll (lexical)
+// order.
+func (e ScenarioEntry) flagNames() []string {
+	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+	e.Bind(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, "-"+f.Name) })
+	return names
 }
 
 // LookupScenario resolves a registered name.
@@ -441,9 +397,9 @@ func ScenarioNames() []string {
 // FormatScenarioList renders the registry for `cherinet list`.
 func FormatScenarioList() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Registered experiments (cherinet <name> [flags], `cherinet all` runs every one):\n")
+	fmt.Fprintf(&b, "Registered experiments (cherinet <name> [flags]; each also takes -parallel, `cherinet all` runs every one at its defaults):\n")
 	for _, e := range Registry {
-		flags := e.Flags
+		flags := strings.Join(e.flagNames(), " ")
 		if flags == "" {
 			flags = "-"
 		}

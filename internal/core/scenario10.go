@@ -406,12 +406,8 @@ func runScenario10Cells(parallelism int, cfg Scenario10Config) ([]Scenario10Resu
 			cells = append(cells, cell)
 		}
 	}
-	return RunCells(parallelism, len(cells), func(i int) (Scenario10Result, error) {
-		r, err := RunScenario10(cells[i])
-		if err != nil {
-			return r, fmt.Errorf("cap=%v faults=%d: %w", cells[i].CapMode, cells[i].Faults, err)
-		}
-		return r, nil
+	return sweep(parallelism, cells, RunScenario10, func(cfg Scenario10Config) string {
+		return fmt.Sprintf("cap=%v faults=%d", cfg.CapMode, cfg.Faults)
 	})
 }
 
@@ -435,10 +431,6 @@ func FormatScenario10(results []Scenario10Result) string {
 		"Mode", "Storm", "Done/s", "dip%", "blast%", "lost", "resets", "restarts", "giveups", "MTTR(ms) avg/max", "p99(ms)")
 	clean := map[bool]Scenario10Result{}
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		storm := "clean"
 		if r.Faults > 0 {
 			storm = fmt.Sprintf("%dF", r.Faults)
@@ -457,7 +449,7 @@ func FormatScenario10(results []Scenario10Result) string {
 			mttr = fmt.Sprintf("%.1f/%.1f", float64(r.MTTRMeanNS)/1e6, float64(r.MTTRMaxNS)/1e6)
 		}
 		fmt.Fprintf(&b, "  %-9s %-6s %8.0f %6s %7s %5d %6d %8d %7d %16s %8.2f\n",
-			mode, storm, r.CompletedPerSec(), dip, blast,
+			modeName(r.CapMode), storm, r.CompletedPerSec(), dip, blast,
 			r.Lost, r.Resets, r.Restarts, r.GiveUps, mttr, float64(r.P99NS)/1e6)
 	}
 	return b.String()

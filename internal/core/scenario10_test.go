@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -18,13 +19,54 @@ func s10TestConfig(capMode bool, faults int) Scenario10Config {
 	}
 }
 
+// s10Grid is the four-cell grid {baseline, cheri} x {clean, 2-fault
+// storm} of s10TestConfig, run once sequentially and once on four
+// workers. Every Scenario 10 test reads these two runs instead of
+// re-running the grid.
+var s10Grid struct {
+	once     sync.Once
+	seq, par []Scenario10Result
+	err      error
+}
+
+// s10Results returns both runs of the shared grid, in runScenario10Cells
+// order: capMode outer, faults (0, then 2) inner.
+func s10Results(t *testing.T) (seq, par []Scenario10Result) {
+	t.Helper()
+	s10Grid.once.Do(func() {
+		cfg := s10TestConfig(false, 2)
+		if s10Grid.seq, s10Grid.err = runScenario10Cells(1, cfg); s10Grid.err != nil {
+			return
+		}
+		s10Grid.par, s10Grid.err = runScenario10Cells(4, cfg)
+	})
+	if s10Grid.err != nil {
+		t.Fatal(s10Grid.err)
+	}
+	return s10Grid.seq, s10Grid.par
+}
+
+// s10Cell returns one cell of the shared sequential run.
+func s10Cell(t *testing.T, capMode, storm bool) Scenario10Result {
+	t.Helper()
+	seq, _ := s10Results(t)
+	i := 0
+	if capMode {
+		i += 2
+	}
+	if storm {
+		i++
+	}
+	return seq[i]
+}
+
 // TestScenario10Clean pins the fault-free reference: no faults means no
 // supervisor, no losses, no resets — the fault plane must be inert.
 func TestScenario10Clean(t *testing.T) {
 	for _, capMode := range []bool{false, true} {
-		r, err := RunScenario10(s10TestConfig(capMode, 0))
-		if err != nil {
-			t.Fatal(err)
+		r := s10Cell(t, capMode, false)
+		if r.Faults != 0 || r.CapMode != capMode {
+			t.Fatalf("cap=%v: grid cell is not the clean run: %+v", capMode, r)
 		}
 		if r.Completed == 0 || r.Completed != r.Issued {
 			t.Fatalf("cap=%v: issued %d, completed %d", capMode, r.Issued, r.Completed)
@@ -42,13 +84,9 @@ func TestScenario10Clean(t *testing.T) {
 // gate: faults aimed at shard0 cost shard0 requests and restarts, while
 // every surviving shard's completions stay within 10% of the clean run.
 func TestScenario10BlastRadiusContained(t *testing.T) {
-	clean, err := RunScenario10(s10TestConfig(true, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	storm, err := RunScenario10(s10TestConfig(true, 2))
-	if err != nil {
-		t.Fatal(err)
+	clean, storm := s10Cell(t, true, false), s10Cell(t, true, true)
+	if !storm.CapMode {
+		t.Fatalf("grid cell is not the capability-mode storm: %+v", storm)
 	}
 	if storm.Faults != 2 {
 		t.Fatalf("injected %d faults, want 2", storm.Faults)
@@ -87,13 +125,9 @@ func TestScenario10BlastRadiusContained(t *testing.T) {
 // so the supervisor restarts shards x faults times and even the
 // non-targeted shards lose requests.
 func TestScenario10BaselineFateShares(t *testing.T) {
-	clean, err := RunScenario10(s10TestConfig(false, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	storm, err := RunScenario10(s10TestConfig(false, 2))
-	if err != nil {
-		t.Fatal(err)
+	clean, storm := s10Cell(t, false, false), s10Cell(t, false, true)
+	if storm.CapMode {
+		t.Fatalf("grid cell is not the baseline storm: %+v", storm)
 	}
 	if storm.Faults != 2 {
 		t.Fatalf("injected %d faults, want 2", storm.Faults)
@@ -115,20 +149,16 @@ func TestScenario10BaselineFateShares(t *testing.T) {
 }
 
 // TestScenario10Deterministic pins run-to-run determinism under the
-// full storm machinery: crash, timeout reconnects, supervised restarts.
+// full storm machinery (crash, timeout reconnects, supervised
+// restarts): the grid's two runs are struct-equal cell by cell.
 func TestScenario10Deterministic(t *testing.T) {
-	for _, capMode := range []bool{false, true} {
-		cfg := s10TestConfig(capMode, 2)
-		a, err := RunScenario10(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunScenario10(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("cap=%v: identical configs diverged:\n  a: %+v\n  b: %+v", capMode, a, b)
+	seq, par := s10Results(t)
+	if len(seq) != 4 || len(par) != len(seq) {
+		t.Fatalf("grid sizes %d and %d, want 4", len(seq), len(par))
+	}
+	for i := range seq {
+		if seq[i] != par[i] {
+			t.Fatalf("cell %d: identical configs diverged:\n  a: %+v\n  b: %+v", i, seq[i], par[i])
 		}
 	}
 }
@@ -137,15 +167,7 @@ func TestScenario10Deterministic(t *testing.T) {
 // the four-cell grid: the formatted report is byte-identical whether
 // the cells run sequentially or concurrently.
 func TestScenario10ParallelIdentical(t *testing.T) {
-	cfg := s10TestConfig(false, 2)
-	seq, err := runScenario10Cells(1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runScenario10Cells(4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := s10Results(t)
 	if FormatScenario10(seq) != FormatScenario10(par) {
 		t.Fatalf("sequential and parallel grids diverged:\n%s\nvs\n%s",
 			FormatScenario10(seq), FormatScenario10(par))

@@ -266,13 +266,10 @@ func RunScenario4Sweep(shardCounts []int, flows int, durationNS int64) ([]Scenar
 			cells = append(cells, Scenario4Config{Shards: k, CapMode: capMode})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario4Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario4(cfg, LocalIsClient, flows, durationNS)
-		if err != nil {
-			return r, fmt.Errorf("shards=%d cap=%v: %w", cfg.Shards, cfg.CapMode, err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, func(cfg Scenario4Config) (Scenario4Result, error) {
+		return RunScenario4(cfg, LocalIsClient, flows, durationNS)
+	}, func(cfg Scenario4Config) string {
+		return fmt.Sprintf("shards=%d cap=%v", cfg.Shards, cfg.CapMode)
 	})
 }
 
@@ -290,16 +287,12 @@ func FormatScenario4(results []Scenario4Result) string {
 	}
 	fmt.Fprintf(&b, "  %-10s %8s %8s %14s %9s  %s\n", "Mode", "Shards", "Flows", "Mbit/s", "Speedup", "recovery")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		speedup := "-"
 		if b1 := base[r.CapMode]; b1 > 0 {
 			speedup = fmt.Sprintf("%.2fx", r.Mbps/b1)
 		}
 		fmt.Fprintf(&b, "  %-10s %8d %8d %14.0f %9s  %s\n",
-			mode, r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
+			modeName(r.CapMode), r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
 	}
 	return b.String()
 }

@@ -227,10 +227,10 @@ func RunScenario5(cfg Scenario5Config, durationNS int64) (Scenario5Result, error
 
 // RunScenario5LossSweep measures goodput vs loss rate: for every loss
 // point, go-back-N vs SACK in both Baseline and capability mode, at
-// equal link settings. An optional Scenario5Obs instruments every
-// point's bed and exports the traces/timeseries per point. Cells run
+// equal link settings. A non-zero obs instruments every point's bed
+// and exports the traces/timeseries per point. Cells run
 // on the host worker pool (Parallelism); results keep sweep order.
-func RunScenario5LossSweep(losses []float64, delayNS int64, rateBps float64, cc string, durationNS int64, obsOpt ...Scenario5Obs) ([]Scenario5Result, error) {
+func RunScenario5LossSweep(losses []float64, delayNS int64, rateBps float64, cc string, durationNS int64, obs Scenario5Obs) ([]Scenario5Result, error) {
 	var cells []Scenario5Config
 	for _, loss := range losses {
 		for _, capMode := range []bool{false, true} {
@@ -242,21 +242,17 @@ func RunScenario5LossSweep(losses []float64, delayNS int64, rateBps float64, cc 
 			}
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario5Result, error) {
-		cfg := cells[i]
-		r, err := runScenario5Point(cfg, durationNS, obsOpt)
-		if err != nil {
-			return r, fmt.Errorf("loss=%.2f%% cap=%v modern=%v: %w",
-				cfg.Link.LossRate*100, cfg.CapMode, cfg.Modern, err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, func(cfg Scenario5Config) (Scenario5Result, error) {
+		return runScenario5Point(cfg, durationNS, obs)
+	}, func(cfg Scenario5Config) string {
+		return fmt.Sprintf("loss=%.2f%% cap=%v modern=%v", cfg.Link.LossRate*100, cfg.CapMode, cfg.Modern)
 	})
 }
 
 // RunScenario5BDPSweep measures goodput vs path BDP (the one-way delay
 // swept at a fixed bottleneck rate), go-back-N vs SACK+window-scaling,
 // in both Baseline and capability mode.
-func RunScenario5BDPSweep(delaysNS []int64, lossRate float64, rateBps float64, cc string, durationNS int64, obsOpt ...Scenario5Obs) ([]Scenario5Result, error) {
+func RunScenario5BDPSweep(delaysNS []int64, lossRate float64, rateBps float64, cc string, durationNS int64, obs Scenario5Obs) ([]Scenario5Result, error) {
 	var cells []Scenario5Config
 	for _, d := range delaysNS {
 		for _, capMode := range []bool{false, true} {
@@ -268,31 +264,23 @@ func RunScenario5BDPSweep(delaysNS []int64, lossRate float64, rateBps float64, c
 			}
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario5Result, error) {
-		cfg := cells[i]
-		r, err := runScenario5Point(cfg, durationNS, obsOpt)
-		if err != nil {
-			return r, fmt.Errorf("delay=%dms cap=%v modern=%v: %w",
-				cfg.Link.DelayNS/1e6, cfg.CapMode, cfg.Modern, err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, func(cfg Scenario5Config) (Scenario5Result, error) {
+		return runScenario5Point(cfg, durationNS, obs)
+	}, func(cfg Scenario5Config) string {
+		return fmt.Sprintf("delay=%dms cap=%v modern=%v", cfg.Link.DelayNS/1e6, cfg.CapMode, cfg.Modern)
 	})
 }
 
 // runScenario5Point runs one sweep point, instrumented and exported
-// per the (optional) sweep observability config.
-func runScenario5Point(cfg Scenario5Config, durationNS int64, obsOpt []Scenario5Obs) (Scenario5Result, error) {
-	var so Scenario5Obs
-	if len(obsOpt) > 0 {
-		so = obsOpt[0]
-	}
+// per the sweep observability config (the zero value is off).
+func runScenario5Point(cfg Scenario5Config, durationNS int64, obs Scenario5Obs) (Scenario5Result, error) {
 	label := scenario5Label(cfg)
-	cfg.Obs = so.pointSpec(label)
+	cfg.Obs = obs.pointSpec(label)
 	r, err := RunScenario5(cfg, durationNS)
 	if err != nil {
 		return r, err
 	}
-	if err := so.export(r, label); err != nil {
+	if err := obs.export(r, label); err != nil {
 		return r, err
 	}
 	return r, nil
@@ -306,17 +294,13 @@ func FormatScenario5(title string, results []Scenario5Result) string {
 	fmt.Fprintf(&b, "  %-9s %-9s %7s %8s %9s %9s  %s\n",
 		"Mode", "Recovery", "Loss%", "RTT(ms)", "BDP(KiB)", "Mbit/s", "recovery breakdown")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		rec := "go-back-N"
 		if r.Modern {
 			rec = "SACK+WS"
 		}
 		bdpKiB := r.Link.RateBps / 8 * float64(2*r.Link.DelayNS) / 1e9 / 1024
 		fmt.Fprintf(&b, "  %-9s %-9s %7.2f %8.0f %9.0f %9.1f  %s\n",
-			mode, rec, r.Link.LossRate*100, r.RTTms(), bdpKiB, r.Mbps, r.Stats.RecoverySummary())
+			modeName(r.CapMode), rec, r.Link.LossRate*100, r.RTTms(), bdpKiB, r.Mbps, r.Stats.RecoverySummary())
 		// Latency percentiles ride under the row they belong to — only
 		// when the run carried histograms, so un-instrumented sweeps
 		// (and the pinned goldens) render byte-identically.

@@ -382,13 +382,10 @@ func RunScenario6Sweep(shardCounts []int, flows int, durationNS int64, base Scen
 			}
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario6Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario6(cfg, flows, durationNS)
-		if err != nil {
-			return r, fmt.Errorf("shards=%d cap=%v modern=%v: %w", cfg.Shards, cfg.CapMode, cfg.Modern, err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, func(cfg Scenario6Config) (Scenario6Result, error) {
+		return RunScenario6(cfg, flows, durationNS)
+	}, func(cfg Scenario6Config) string {
+		return fmt.Sprintf("shards=%d cap=%v modern=%v", cfg.Shards, cfg.CapMode, cfg.Modern)
 	})
 }
 
@@ -422,10 +419,6 @@ func FormatScenario6(results []Scenario6Result) string {
 	fmt.Fprintf(&b, "  %-10s %-9s %7s %6s %10s %9s  %s\n",
 		"Mode", "Recovery", "Shards", "Flows", "Mbit/s", "Speedup", "recovery breakdown")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		rec := "go-back-N"
 		if r.Modern {
 			rec = "SACK+WS"
@@ -435,7 +428,7 @@ func FormatScenario6(results []Scenario6Result) string {
 			speedup = fmt.Sprintf("%.2fx", r.Mbps/b1)
 		}
 		fmt.Fprintf(&b, "  %-10s %-9s %7d %6d %10.0f %9s  %s\n",
-			mode, rec, r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
+			modeName(r.CapMode), rec, r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
 	}
 	return b.String()
 }

@@ -258,14 +258,10 @@ func RunScenario7RTTSweep(delaysNS []int64, ccs []string, rateBps float64, durat
 			}
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario7Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario7(cfg, durationNS)
-		if err != nil {
-			return r, fmt.Errorf("delay=%dms cap=%v cc=%s: %w",
-				cfg.Link.DelayNS/1e6, cfg.CapMode, ccName(cfg.Congestion), err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, func(cfg Scenario7Config) (Scenario7Result, error) {
+		return RunScenario7(cfg, durationNS)
+	}, func(cfg Scenario7Config) string {
+		return fmt.Sprintf("delay=%dms cap=%v cc=%s", cfg.Link.DelayNS/1e6, cfg.CapMode, ccName(cfg.Congestion))
 	})
 }
 
@@ -298,16 +294,12 @@ func FormatScenario7(results []Scenario7Result) string {
 	fmt.Fprintf(&b, "  %-9s %-6s %8s %10s %6s %8s  %s\n",
 		"Mode", "CC", "RTT(ms)", "Mbit/s", "Util", "vs reno", "recovery breakdown")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		gain := "-"
 		if base := reno[key(r)]; base > 0 && r.Congestion != fstack.CCReno {
 			gain = fmt.Sprintf("%.2fx", r.Mbps/base)
 		}
 		fmt.Fprintf(&b, "  %-9s %-6s %8.0f %10.1f %5.0f%% %8s  %s\n",
-			mode, r.Congestion, r.RTTms(), r.Mbps, r.Utilization()*100, gain, r.Stats.RecoverySummary())
+			modeName(r.CapMode), r.Congestion, r.RTTms(), r.Mbps, r.Utilization()*100, gain, r.Stats.RecoverySummary())
 	}
 	return b.String()
 }

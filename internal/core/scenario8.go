@@ -275,13 +275,8 @@ func RunScenario8RateSweep(shards, conns int, rates []float64, durationNS int64)
 			})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario8Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario8(cfg)
-		if err != nil {
-			return r, fmt.Errorf("rate=%.0f cap=%v: %w", cfg.Rate, cfg.CapMode, err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, RunScenario8, func(cfg Scenario8Config) string {
+		return fmt.Sprintf("rate=%.0f cap=%v", cfg.Rate, cfg.CapMode)
 	})
 }
 
@@ -299,16 +294,12 @@ func FormatScenario8(results []Scenario8Result) string {
 	fmt.Fprintf(&b, "  %-9s %10s %10s %9s %9s %10s %10s %7s\n",
 		"Mode", "Offered/s", "Accepts/s", "p50(µs)", "p99(µs)", "seg B/idle", "heap B/idle", "drops")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		note := ""
 		if r.Deferred > 0 {
 			note = fmt.Sprintf("  (client deferred %d)", r.Deferred)
 		}
 		fmt.Fprintf(&b, "  %-9s %10.0f %10.0f %9.1f %9.1f %10.1f %10.0f %7d%s\n",
-			mode, r.Rate, r.AcceptsPerSec(),
+			modeName(r.CapMode), r.Rate, r.AcceptsPerSec(),
 			float64(r.ConnectP50NS)/1e3, float64(r.ConnectP99NS)/1e3,
 			r.SegPerConn, r.HeapPerConn,
 			r.Stats.SynDrops+r.Stats.AcceptOverflows, note)

@@ -446,13 +446,8 @@ func RunScenario9RateSweep(proto string, shards, conns int, rates []float64, lin
 			})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario9Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario9(cfg)
-		if err != nil {
-			return r, fmt.Errorf("%s rate=%.0f cap=%v: %w", cfg.Proto, cfg.Rate, cfg.CapMode, err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, RunScenario9, func(cfg Scenario9Config) string {
+		return fmt.Sprintf("%s rate=%.0f cap=%v", cfg.Proto, cfg.Rate, cfg.CapMode)
 	})
 }
 
@@ -468,13 +463,8 @@ func RunScenario9ConcurrencySweep(proto string, shards int, concs []int, link ne
 			})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario9Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario9(cfg)
-		if err != nil {
-			return r, fmt.Errorf("%s conc=%d cap=%v: %w", cfg.Proto, cfg.Conns, cfg.CapMode, err)
-		}
-		return r, nil
+	return sweep(Parallelism(), cells, RunScenario9, func(cfg Scenario9Config) string {
+		return fmt.Sprintf("%s conc=%d cap=%v", cfg.Proto, cfg.Conns, cfg.CapMode)
 	})
 }
 
@@ -492,10 +482,6 @@ func FormatScenario9(title string, results []Scenario9Result) string {
 	fmt.Fprintf(&b, "  %-9s %-14s %9s %9s %9s %9s %5s %6s\n",
 		"Mode", "Load", "Done/s", "p50(µs)", "p99(µs)", "p999(µs)", "tmo", "drops")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		load := fmt.Sprintf("closed ×%d", r.Conns)
 		if r.Rate > 0 {
 			load = fmt.Sprintf("open %.0f/s", r.Rate)
@@ -508,7 +494,7 @@ func FormatScenario9(title string, results []Scenario9Result) string {
 			note += fmt.Sprintf("  (%d failed)", r.Failed)
 		}
 		fmt.Fprintf(&b, "  %-9s %-14s %9.0f %9.1f %9.1f %9.1f %5d %6d%s\n",
-			mode, load, r.CompletedPerSec(),
+			modeName(r.CapMode), load, r.CompletedPerSec(),
 			float64(r.P50NS)/1e3, float64(r.P99NS)/1e3, float64(r.P999NS)/1e3,
 			r.Timeouts, r.Drops(), note)
 	}

@@ -8,11 +8,13 @@ import (
 	"repro/internal/hostos"
 )
 
-// API is the slice of the ff_* surface iperf needs. Both
-// fstack.LockedAPI (application inside the loop callback — Baseline and
-// Scenario 1) and the Scenario 2 gate wrappers satisfy it, so the same
-// benchmark binary runs in every compartmentalization layout, exactly
-// like the paper's single iperf3 port.
+// API is the slice of the ff_* surface iperf needs: the TCP socket and
+// epoll calls. Both fstack.LockedAPI (application inside the loop
+// callback — Baseline and Scenario 1) and the Scenario 2 gate wrappers
+// satisfy it, so the same benchmark binary runs in every
+// compartmentalization layout, exactly like the paper's single iperf3
+// port. It is the one declaration of that surface: the churn workload
+// takes it as is, and app.API embeds it.
 type API interface {
 	Socket(typ int) (int, hostos.Errno)
 	Bind(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
