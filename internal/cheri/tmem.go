@@ -3,7 +3,9 @@ package cheri
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // TMem is tagged memory: a flat byte array plus one validity-tag bit per
@@ -22,14 +24,18 @@ import (
 // ranges, so data copies never overlap (the ownership discipline of real
 // memory). The tag structures, however, are shared bookkeeping and are
 // guarded by a mutex, so concurrent compartment loops (paper Scenario 1
-// runs two) may fault-check and copy in parallel safely.
+// runs two) may fault-check and copy in parallel safely. The tag words
+// are atomics so that a data store can see, without the mutex, that the
+// range it wrote holds no tag — the common case for every packet copy.
 type TMem struct {
 	data []byte
 	size uint64
 
 	tagMu sync.Mutex
-	tags  []bool         // one per granule
-	caps  map[uint64]Cap // granule-aligned address -> stored capability
+	// tags is the tag bitmap: bit g%64 of word g/64 is granule g's tag.
+	// Written under tagMu; clearTags reads it lock-free first.
+	tags []atomic.Uint64
+	caps map[uint64]Cap // granule-aligned address -> stored capability
 }
 
 // NewTMem allocates tagged memory of the given size (rounded up to a
@@ -38,7 +44,7 @@ func NewTMem(size uint64) *TMem {
 	size = (size + CapSize - 1) &^ (CapSize - 1)
 	return &TMem{
 		data: make([]byte, size),
-		tags: make([]bool, size/CapSize),
+		tags: make([]atomic.Uint64, (size/CapSize+63)/64),
 		caps: make(map[uint64]Cap),
 		size: size,
 	}
@@ -50,18 +56,49 @@ func (m *TMem) Size() uint64 { return m.size }
 // Root returns the architectural root capability over all of memory.
 func (m *TMem) Root() Cap { return NewRoot(0, m.size, PermAll) }
 
-// clearTags invalidates every granule overlapping [addr, addr+n).
+// tagged reports granule g's tag.
+func (m *TMem) tagged(g uint64) bool { return m.tags[g/64].Load()&(1<<(g%64)) != 0 }
+
+// granuleMask selects, in bitmap word w, the granules of [first, last].
+func granuleMask(w, first, last uint64) uint64 {
+	mask := ^uint64(0)
+	if w == first/64 {
+		mask &= ^uint64(0) << (first % 64)
+	}
+	if w == last/64 {
+		mask &= ^uint64(0) >> (63 - last%64)
+	}
+	return mask
+}
+
+// clearTags invalidates every granule overlapping [addr, addr+n). It
+// checks the bitmap a word (64 granules) at a time, so an untagged
+// frame-sized store reads two or three words, and it takes tagMu only
+// when one of them has a tag to clear. A store owns its range, so no
+// tag appears there concurrently.
 func (m *TMem) clearTags(addr uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	m.tagMu.Lock()
-	defer m.tagMu.Unlock()
 	first := addr / CapSize
 	last := (addr + uint64(n) - 1) / CapSize
-	for g := first; g <= last; g++ {
-		if m.tags[g] {
-			m.tags[g] = false
+	w := first / 64
+	for w <= last/64 && m.tags[w].Load()&granuleMask(w, first, last) == 0 {
+		w++
+	}
+	if w > last/64 {
+		return
+	}
+	m.tagMu.Lock()
+	defer m.tagMu.Unlock()
+	for ; w <= last/64; w++ {
+		hit := m.tags[w].Load() & granuleMask(w, first, last)
+		if hit == 0 {
+			continue
+		}
+		m.tags[w].And(^hit)
+		for ; hit != 0; hit &= hit - 1 {
+			g := w*64 + uint64(bits.TrailingZeros64(hit))
 			delete(m.caps, g*CapSize)
 		}
 	}
@@ -205,10 +242,10 @@ func (m *TMem) StoreCap(c Cap, addr uint64, v Cap) error {
 	defer m.tagMu.Unlock()
 	g := addr / CapSize
 	if v.tag {
-		m.tags[g] = true
+		m.tags[g/64].Or(1 << (g % 64))
 		m.caps[addr] = v
 	} else {
-		m.tags[g] = false
+		m.tags[g/64].And(^uint64(1 << (g % 64)))
 		delete(m.caps, addr)
 	}
 	return nil
@@ -231,7 +268,7 @@ func (m *TMem) LoadCap(c Cap, addr uint64) (Cap, error) {
 		return NullCap, newFault(FaultBounds, "loadcap", c, addr, CapSize)
 	}
 	m.tagMu.Lock()
-	tagged := m.tags[addr/CapSize]
+	tagged := m.tagged(addr / CapSize)
 	v, hasCap := m.caps[addr]
 	m.tagMu.Unlock()
 	if tagged && hasCap {
@@ -256,7 +293,7 @@ func (m *TMem) TagAt(addr uint64) bool {
 	}
 	m.tagMu.Lock()
 	defer m.tagMu.Unlock()
-	return m.tags[addr/CapSize]
+	return m.tagged(addr / CapSize)
 }
 
 // --- unchecked access (device DMA in raw mode, Baseline scenario) ---

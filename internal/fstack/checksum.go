@@ -1,20 +1,57 @@
 package fstack
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Checksum computes the RFC 1071 internet checksum of data.
 func Checksum(data []byte) uint16 {
 	return finishChecksum(sumBytes(0, data))
 }
 
-// sumBytes accumulates 16-bit big-endian words into a running sum.
+// sumBytes adds data, as 16-bit big-endian words, to a running ones'
+// complement sum. The result is congruent to the 16-bit word sum
+// modulo 0xFFFF and is zero only when that sum is (RFC 1071 §2), so
+// finishChecksum gives the same checksum as a word-at-a-time loop.
+//
+// The bulk of the buffer is summed as 64-bit big-endian words with
+// end-around carry: 2^16 ≡ 1 (mod 0xFFFF), so a 64-bit word is
+// congruent to the sum of its four 16-bit words. The accumulator is
+// folded to 17 bits before the trailing (< 8) bytes are added, so the
+// tail cannot overflow it whatever the starting sum.
 func sumBytes(sum uint32, data []byte) uint32 {
-	n := len(data) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	acc := uint64(sum)
+	var carry uint64
+	for len(data) >= 32 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[0:8]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[8:16]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[16:24]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[24:32]), carry)
+		data = data[32:]
 	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
+	for len(data) >= 8 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
 	}
-	return sum
+	// End-around carry: acc+carry cannot carry again, since a carry
+	// out of the last add leaves acc <= 2^64-2.
+	acc += carry
+
+	// Fold 64 -> 33 -> 32 -> 17 bits; each step keeps the value
+	// congruent and non-zero when it was non-zero.
+	acc = acc>>32 + acc&0xFFFFFFFF
+	acc = acc>>32 + acc&0xFFFFFFFF
+	s := uint32(acc>>16) + uint32(acc&0xFFFF)
+
+	for len(data) >= 2 {
+		s += uint32(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		s += uint32(data[0]) << 8
+	}
+	return s
 }
 
 // finishChecksum folds the carries and complements.

@@ -1,12 +1,12 @@
 package netem
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hostos"
 	"repro/internal/nic"
@@ -125,6 +125,8 @@ func (s DirStats) String() string {
 }
 
 // Endpoint receives the frames a Link delivers. *nic.Port satisfies it.
+// The link calls DeliverFrame with the direction's lock held, so an
+// endpoint must not call back into the Link.
 type Endpoint interface {
 	DeliverFrame(data []byte, readyAt int64)
 }
@@ -136,24 +138,58 @@ type heldFrame struct {
 	seq       uint64 // tie-break: equal instants deliver in send order
 }
 
-// frameHeap orders held frames by (deliverAt, seq).
+// frameHeap is a binary min-heap of held frames ordered by
+// (deliverAt, seq). It is typed rather than built on container/heap,
+// whose Push and Pop box every frame into an interface value: one
+// heap allocation per frame on each side of the delay line.
 type frameHeap []heldFrame
 
-func (h frameHeap) Len() int { return len(h) }
-func (h frameHeap) Less(i, j int) bool {
+func (h frameHeap) less(i, j int) bool {
 	if h[i].deliverAt != h[j].deliverAt {
 		return h[i].deliverAt < h[j].deliverAt
 	}
 	return h[i].seq < h[j].seq
 }
-func (h frameHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *frameHeap) Push(x any)   { *h = append(*h, x.(heldFrame)) }
-func (h *frameHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	*h = old[:n-1]
-	return f
+
+// push adds f, sifting it up to its place.
+func (h *frameHeap) push(f heldFrame) {
+	*h = append(*h, f)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest frame. The heap must not be
+// empty.
+func (h *frameHeap) pop() heldFrame {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = heldFrame{} // drop the moved slot's reference to its bytes
+	s = s[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && s.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
 }
 
 // dirState is one direction's impairment pipeline.
@@ -165,21 +201,23 @@ type dirState struct {
 	nextFree int64 // bottleneck serializer: time its queue drains
 	held     frameHeap
 	seq      uint64
-	stats    DirStats
+	// headAt mirrors held[0].deliverAt (math.MaxInt64 when held is
+	// empty). It is written under mu wherever held changes and read
+	// without the lock as a hint: Pump skips a direction whose head
+	// is not yet due, and NextDeadline reads it directly. A stale read
+	// only orders the reader before the concurrent Send that changed
+	// the head; any release still happens under mu.
+	headAt atomic.Int64
+	stats  DirStats
 	// Carrier flap schedule: carr holds the remaining toggle instants
 	// (sorted ascending; each consumes one flip of carrUp). The carrier
-	// starts up; nil carr means no schedule and zero cost — the nil
-	// check is read without the lock, mirroring the tr contract, so
-	// SetCarrierSchedule must be called before traffic.
+	// starts up; flaps is false when there is no schedule, which costs
+	// nothing — flaps is written once and read without the lock,
+	// mirroring the tr contract, so SetCarrierSchedule must be called
+	// before traffic.
 	carr   []int64
 	carrUp bool
-	// due is the reusable scratch takeDueLocked fills — allocating a
-	// fresh slice per release was one of the datapath's per-frame
-	// allocation sites. It is LOANED: takeDueLocked hands it out and
-	// nils the field, putDue returns it after delivery, so even
-	// concurrent steppers of the two endpoints can never iterate the
-	// same backing array (the loser of the race just allocates).
-	due []heldFrame
+	flaps  bool
 }
 
 // Link is a composable impairment pipeline between two endpoints. It
@@ -273,6 +311,7 @@ func NewAsym(clk hostos.Clock, a, b Endpoint, ab, ba Config) *Link {
 	for d := range l.dirs {
 		// Distinct, seed-derived streams per direction.
 		l.dirs[d].rng = rand.New(rand.NewSource(l.cfg[d].Seed ^ (int64(d+1) * 0x6C62272E07BB0141)))
+		l.dirs[d].headAt.Store(math.MaxInt64)
 	}
 	return l
 }
@@ -323,6 +362,7 @@ func (l *Link) SetCarrierSchedule(dir int, toggles []int64) {
 	sort.Slice(sched, func(i, j int) bool { return sched[i] < sched[j] })
 	d.carr = sched
 	d.carrUp = true
+	d.flaps = true
 }
 
 // Carrier reports one direction's carrier state after advancing its
@@ -332,10 +372,7 @@ func (l *Link) Carrier(dir int, now int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l.advanceCarrierLocked(d, dir, now)
-	if d.carr == nil {
-		return true
-	}
-	return d.carrUp
+	return !d.flaps || d.carrUp
 }
 
 // advanceCarrierLocked consumes every toggle due at or before t,
@@ -364,8 +401,8 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 	cfg := l.cfg[from]
 	// Carrier flaps apply before every other impairment — a frame
 	// offered to a dead carrier never reaches the loss models or the
-	// bottleneck. The nil check keeps flap-free links at zero cost.
-	if d.carr != nil {
+	// bottleneck. The flag check keeps flap-free links at zero cost.
+	if d.flaps {
 		d.mu.Lock()
 		l.advanceCarrierLocked(d, from, readyAt)
 		if !d.carrUp {
@@ -467,36 +504,33 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 		d.stats.Reordered++
 	}
 
-	heap.Push(&d.held, heldFrame{data: data, deliverAt: at, seq: d.seq})
+	d.held.push(heldFrame{data: data, deliverAt: at, seq: d.seq})
 	d.seq++
 	held := len(d.held)
-	due := d.takeDueLocked(now)
+	d.releaseLocked(dst, now)
 	d.mu.Unlock()
 	if l.tr != nil {
 		l.tr.Record(now, obs.EvNetemEnqueue, l.trSrc+uint16(from), int64(len(data)), at, int64(held))
-	}
-	if len(due) > 0 {
-		deliverAll(dst, due)
-		d.putDue(due)
 	}
 }
 
 // Pump implements nic.Conduit: release every held frame that is due.
 // Ports call it from each device step, so held frames drain even when
-// nothing new is sent.
+// nothing new is sent. A direction without a flap schedule whose head
+// is not due is skipped without its lock: releaseLocked would deliver
+// nothing for it.
 func (l *Link) Pump(now int64) {
 	for dir := range l.dirs {
 		d := &l.dirs[dir]
+		if !d.flaps && d.headAt.Load() > now {
+			continue
+		}
 		d.mu.Lock()
-		if d.carr != nil {
+		if d.flaps {
 			l.advanceCarrierLocked(d, dir, now)
 		}
-		due := d.takeDueLocked(now)
+		d.releaseLocked(l.ends[1-dir], now)
 		d.mu.Unlock()
-		if len(due) > 0 {
-			deliverAll(l.ends[1-dir], due)
-			d.putDue(due)
-		}
 	}
 }
 
@@ -508,6 +542,10 @@ func (l *Link) NextDeadline(int64) int64 {
 	d := int64(math.MaxInt64)
 	for dir := range l.dirs {
 		ds := &l.dirs[dir]
+		if !ds.flaps {
+			d = min(d, ds.headAt.Load())
+			continue
+		}
 		ds.mu.Lock()
 		if len(ds.held) > 0 && ds.held[0].deliverAt < d {
 			d = ds.held[0].deliverAt
@@ -559,37 +597,20 @@ func (d *dirState) stepGE(cfg Config, at int64) {
 	}
 }
 
-// takeDueLocked pops the frames due at `now`, in delivery order, into
-// the direction's loaned scratch slice. A non-empty result must be
-// handed back via putDue once delivered.
-func (d *dirState) takeDueLocked(now int64) []heldFrame {
-	if len(d.held) == 0 || d.held[0].deliverAt > now {
-		return nil // fast path: nothing due, no loan
-	}
-	due := d.due[:0]
-	d.due = nil // loaned out until putDue
+// releaseLocked hands every frame due at now to dst, in (deliverAt,
+// seq) order, and refreshes the headAt mirror. Delivering under d.mu
+// keeps the direction's deliveries in that order even when a Send's
+// inline release races a Pump from the far port's loop; the endpoint
+// never calls back into the link. Caller holds d.mu.
+func (d *dirState) releaseLocked(dst Endpoint, now int64) {
 	for len(d.held) > 0 && d.held[0].deliverAt <= now {
-		due = append(due, heap.Pop(&d.held).(heldFrame))
+		f := d.held.pop()
 		d.stats.Delivered++
-	}
-	return due
-}
-
-// putDue returns the delivery scratch after its frames were handed
-// over. If a concurrent release already replaced it, the older slice
-// is simply dropped.
-func (d *dirState) putDue(due []heldFrame) {
-	d.mu.Lock()
-	if d.due == nil {
-		d.due = due[:0]
-	}
-	d.mu.Unlock()
-}
-
-// deliverAll hands released frames to the endpoint outside the
-// direction lock (the endpoint's FIFO has its own).
-func deliverAll(dst Endpoint, due []heldFrame) {
-	for _, f := range due {
 		dst.DeliverFrame(f.data, f.deliverAt)
 	}
+	at := int64(math.MaxInt64)
+	if len(d.held) > 0 {
+		at = d.held[0].deliverAt
+	}
+	d.headAt.Store(at)
 }

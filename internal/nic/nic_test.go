@@ -19,7 +19,7 @@ type ringLayout struct {
 }
 
 // install programs the ring's descriptors to point at its buffers.
-func (r *ringLayout) install(t *testing.T, mem *cheri.TMem) {
+func (r *ringLayout) install(t testing.TB, mem *cheri.TMem) {
 	t.Helper()
 	for i := uint32(0); i < r.n; i++ {
 		s, err := mem.RawSlice(r.descBase+uint64(i)*DescSize, DescSize)
@@ -43,7 +43,7 @@ type bench struct {
 	brx  ringLayout
 }
 
-func newBench(t *testing.T, busRate float64) *bench {
+func newBench(t testing.TB, busRate float64) *bench {
 	t.Helper()
 	mem := cheri.NewTMem(1 << 22)
 	clk := sim.NewVClock()
@@ -104,7 +104,7 @@ func newBench(t *testing.T, busRate float64) *bench {
 }
 
 // queueTX writes a frame into the sender's next TX slot and bumps TDT.
-func (be *bench) queueTX(t *testing.T, p *Port, r ringLayout, payload []byte) {
+func (be *bench) queueTX(t testing.TB, p *Port, r ringLayout, payload []byte) {
 	t.Helper()
 	tdt := p.RegRead32(RegTDT)
 	bufAddr := r.bufBase + uint64(tdt)*r.bufSize
@@ -125,7 +125,7 @@ func (be *bench) queueTX(t *testing.T, p *Port, r ringLayout, payload []byte) {
 }
 
 // rxHarvest collects completed RX descriptors from r starting at *next.
-func (be *bench) rxHarvest(t *testing.T, p *Port, r ringLayout, next *uint32) [][]byte {
+func (be *bench) rxHarvest(t testing.TB, p *Port, r ringLayout, next *uint32) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for {

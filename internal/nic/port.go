@@ -114,10 +114,11 @@ func (p *Port) SetObs(tr *obs.Trace, dp *stats.Histogram, src uint16) {
 // SetRxTap installs (or, with nil, removes) a delivery observer: fn
 // sees every frame the conduit hands this port, before FIFO admission
 // — so what the tap captures is exactly what survived the link, and
-// impairment drops show as gaps. The tap runs synchronously and must
-// not retain data (the bytes return to the frame arena after DMA); a
-// pcap writer, which copies into its output stream, is the intended
-// consumer.
+// impairment drops show as gaps. The tap runs synchronously, possibly
+// under the conduit's lock, so it must not call into the conduit, and
+// it must not retain data (the bytes return to the frame arena after
+// DMA); a pcap writer, which copies into its output stream, is the
+// intended consumer.
 func (p *Port) SetRxTap(fn func(tsNS int64, data []byte)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -397,7 +398,14 @@ func (p *Port) dmaRW(addr uint64, n int) ([]byte, bool) {
 // and fills every armed RX ring from its FIFO, under line-rate and
 // bus-budget admission. The DPDK poll-mode driver calls it from every
 // burst — it is the simulator's hottest path, so the armed-queue scan
-// happens under one lock acquisition and unarmed queues cost nothing.
+// happens under one lock acquisition and queues with no work cost
+// nothing.
+//
+// A queue is skipped only where its step would provably change
+// nothing: a TX ring with no pending descriptor (head == tail), and,
+// on an ideal bus, an RX queue whose FIFO head has not arrived. On a
+// bus-limited card stepRX always runs, because its admission check
+// records bus activity for the fair-share arbiter (see busTouch).
 func (p *Port) Step() {
 	var tx, rx [MaxQueues]bool
 	p.mu.Lock()
@@ -405,22 +413,25 @@ func (p *Port) Step() {
 	txEn := p.regs.tctl&TctlEN != 0 && pipe != nil
 	rxEn := p.regs.rctl&RctlEN != 0
 	for q := 0; q < MaxQueues; q++ {
-		tx[q] = txEn && p.regs.txq[q].length >= DescSize && !p.stalled[q]
+		txq := &p.regs.txq[q]
+		tx[q] = txEn && txq.length >= DescSize && !p.stalled[q] && txq.head != txq.tail
 		rx[q] = rxEn && p.regs.rxq[q].length >= DescSize && !p.stalled[q]
 	}
 	p.mu.Unlock()
+	now := p.clk.Now()
 	if pipe != nil {
 		// Let a frame-holding conduit (netem delay line, rate limiter)
 		// release whatever is due before the RX rings look for arrivals.
-		pipe.Pump(p.clk.Now())
+		pipe.Pump(now)
 	}
 	for q := 0; q < MaxQueues; q++ {
 		if tx[q] {
 			p.stepTX(q)
 		}
 	}
+	busLimited := p.card.busLimited()
 	for q := 0; q < MaxQueues; q++ {
-		if rx[q] {
+		if rx[q] && (busLimited || p.fifos[q].due(now)) {
 			p.stepRX(q)
 		}
 	}

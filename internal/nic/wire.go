@@ -3,6 +3,7 @@ package nic
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // PropagationDelayNS is the cable's one-way latency. A metre of copper
@@ -26,6 +27,10 @@ type frame struct {
 type rxFifo struct {
 	mu     sync.Mutex
 	frames []frame
+	// headAt mirrors frames[0].readyAt (math.MaxInt64 when empty). It
+	// is written under mu wherever the head changes and read without
+	// the lock as a hint; pop re-checks under mu before taking a frame.
+	headAt atomic.Int64
 	bytes  int
 	limit  int
 	missed uint64
@@ -47,10 +52,18 @@ func (f *rxFifo) push(fr frame) {
 	}
 	f.frames = append(f.frames, fr)
 	f.bytes += len(fr.data)
+	if len(f.frames) == 1 {
+		f.headAt.Store(fr.readyAt)
+	}
 }
 
-// pop removes the next fully arrived frame, if any.
+// pop removes the next fully arrived frame, if any. When the head
+// mirror says nothing is due it returns without the lock; a frame
+// pushed concurrently is then simply taken by the next pop.
 func (f *rxFifo) pop(now int64) (frame, bool) {
+	if !f.due(now) {
+		return frame{}, false
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.frames) == 0 || f.frames[0].readyAt > now {
@@ -60,8 +73,17 @@ func (f *rxFifo) pop(now int64) (frame, bool) {
 	copy(f.frames, f.frames[1:])
 	f.frames = f.frames[:len(f.frames)-1]
 	f.bytes -= len(fr.data)
+	if len(f.frames) > 0 {
+		f.headAt.Store(f.frames[0].readyAt)
+	} else {
+		f.headAt.Store(math.MaxInt64)
+	}
 	return fr, true
 }
+
+// due reports, without the lock, whether the head frame had arrived
+// by now.
+func (f *rxFifo) due(now int64) bool { return f.headAt.Load() <= now }
 
 // missedCount returns the tail-drop counter.
 func (f *rxFifo) missedCount() uint64 {
@@ -80,14 +102,11 @@ func (f *rxFifo) pending() int {
 // headReadyAt reports when the FIFO's head frame becomes harvestable.
 // The buffer is strictly first-in-first-out — pop only ever looks at
 // the head — so the head's arrival instant IS the queue's deadline
-// even if a later frame happens to be due earlier.
+// even if a later frame happens to be due earlier. It reads the head
+// mirror, so it takes no lock.
 func (f *rxFifo) headReadyAt() (int64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.frames) == 0 {
-		return 0, false
-	}
-	return f.frames[0].readyAt, true
+	at := f.headAt.Load()
+	return at, at != math.MaxInt64
 }
 
 // Conduit is the medium a port transmits into. A *Wire is the direct
